@@ -15,18 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError, LengthMismatch
+from .neural import LABELS
+
 TRADING_DAYS_PER_YEAR = 252
 
 
-class InvalidDistribution(ValueError):
+class InvalidDistribution(DataError):
     pass
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
-class ZeroVariance(ValueError):
+class ZeroVariance(DataError):
     """Sharpe is undefined for constant returns."""
 
 
@@ -35,8 +34,9 @@ def size_positions(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 3:
         raise InvalidDistribution(f"expected (days, 3) probabilities, got {p.shape}")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise InvalidDistribution("rows must be probability distributions")
+    # tests written as what must hold, so that NaN, which passes no comparison, fails
+    if not (np.all(p >= -1e-12) and np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9)):
+        raise InvalidDistribution("rows must be finite probability distributions")
     return p[:, 0] - p[:, 2]
 
 
@@ -129,8 +129,7 @@ def evaluate_predictions(probs, true_labels, target_returns) -> BacktestReport:
     pos = size_positions(probs)
     report = run_backtest(pos, target_returns)
     p = np.asarray(probs, dtype=np.float64)
-    class_of = (1, 0, -1)
-    predicted = [class_of[int(k)] for k in np.argmax(p, axis=1)]
+    predicted = [LABELS[int(k)] for k in np.argmax(p, axis=1)]
     report.accuracy = directional_accuracy(predicted, list(true_labels))
     return report
 

@@ -6,7 +6,8 @@ run seed through named streams, and each training run writes a manifest
 with the resolved config and input hashes.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 shape error,
-1 I/O or unexpected failure.
+1 I/O or unexpected failure.  The codes follow the base classes in
+:mod:`ttrnn.errors`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,39 +25,14 @@ import numpy as np
 from . import backtest as bt
 from . import features as feat
 from . import interpret, neural, tensor, ttformat
-from .config import ConfigError, RunConfig, build_config, parse_config_file, stream_rng
+from .config import RunConfig, build_config, parse_config_file, stream_rng
+from .errors import ConfigError, DataError, ShapeError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SHAPE = 4
-
-CONFIG_ERRORS = (ConfigError, neural.InvalidConfig, feat.InvalidConfig)
-DATA_ERRORS = (
-    feat.NonPositivePrice,
-    feat.WindowTooLarge,
-    feat.MisalignedDates,
-    feat.InsufficientHistory,
-    feat.UnknownTarget,
-    neural.EmptyDataset,
-    neural.InvalidLabel,
-    bt.InvalidDistribution,
-    bt.ZeroVariance,
-)
-SHAPE_ERRORS = (
-    tensor.ElementCountMismatch,
-    tensor.ModeSizeMismatch,
-    tensor.ModeIndexOutOfRange,
-    ttformat.RankMismatch,
-    ttformat.InvalidRank,
-    ttformat.LengthMismatch,
-    neural.ShapeMismatch,
-    neural.EmptySequence,
-    neural.CacheMismatch,
-    bt.LengthMismatch,
-    interpret.ShapeDrift,
-)
 
 
 def _sha256(path) -> str:
@@ -204,7 +179,7 @@ def cmd_backtest(args) -> int:
     _, test_samples = fp.samples(cfg.seq_len)
     if not test_samples:
         raise feat.InsufficientHistory("no test windows after the split")
-    probs = np.array([neural.forward_sequence(model, s.inputs)[0] for s in test_samples])
+    _loss, probs, _predicted = neural.evaluate(model, [s.pair for s in test_samples])
     labels = [s.label for s in test_samples]
     next_returns = np.array([fp.target_next_return[s.end_index] for s in test_samples])
     dates = [s.date for s in test_samples]
@@ -262,8 +237,8 @@ def cmd_decompose(args) -> int:
     with open(args.out, "w") as f:
         f.write(ttformat.format_tt_vector(tt))
     rebuilt = ttformat.tt_reconstruct(tt)
-    err = math.sqrt(tensor.frobenius_norm_sq(tensor.DenseTensor(dims, rebuilt.data - t.data)))
-    denom = math.sqrt(tensor.frobenius_norm_sq(t)) or 1.0
+    err = tensor.frobenius_norm(tensor.DenseTensor(dims, rebuilt.data - t.data))
+    denom = tensor.frobenius_norm(t) or 1.0
     print(f"ranks {tt.ranks}, relative reconstruction error {err / denom:.3e}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -331,13 +306,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SHAPE_ERRORS as exc:
+    except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except OSError as exc:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    pass
+from .errors import ConfigError
+from .ttformat import InvalidRank, check_ranks
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -21,6 +21,14 @@ def stream_rng(seed: int, name: str) -> np.random.Generator:
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+
+
+def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
+    """:func:`ttformat.check_ranks` for a setting: a bad tuple raises ConfigError."""
+    try:
+        return check_ranks(ranks, n_modes)
+    except InvalidRank as exc:
+        raise ConfigError(f"bad ranks: {exc}") from None
 
 
 FEATURE_TENSOR_DIMS = (2, 2, 5, 6, 4)
@@ -69,9 +77,7 @@ class RunConfig:
                 f"ranks {self.ranks!r} has {len(parts)} entries; expected 1, "
                 f"{n - 1} (interior) or {n + 1} (full)"
             )
-        if full[0] != 1 or full[-1] != 1 or min(full) < 1:
-            raise ConfigError(f"ranks must be positive with boundary 1s, got {full}")
-        return full
+        return config_ranks(full, n)
 
     def validate(self) -> "RunConfig":
         if not 0.0 < self.split < 1.0:
@@ -87,8 +93,8 @@ class RunConfig:
         for name in ("synth_days", "seq_len", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must be in [0, 1]")
         if self.seed < 0:

@@ -24,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import stream_rng
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import DenseTensor, reshape
 
 ASSET_CLASSES = ("equities", "currencies", "commodities", "fixed_income")
@@ -45,27 +46,23 @@ FEATURE_NAMES = (
 assert len(FEATURE_NAMES) == N_FEATURES
 
 
-class NonPositivePrice(ValueError):
+class NonPositivePrice(DataError):
     pass
 
 
-class WindowTooLarge(ValueError):
+class WindowTooLarge(DataError):
     pass
 
 
-class MisalignedDates(ValueError):
+class MisalignedDates(DataError):
     pass
 
 
-class InsufficientHistory(ValueError):
+class InsufficientHistory(DataError):
     pass
 
 
-class UnknownTarget(ValueError):
-    pass
-
-
-class InvalidConfig(ValueError):
+class UnknownTarget(DataError):
     pass
 
 
@@ -77,6 +74,10 @@ class InstrumentMeta:
 
 
 def column_index(asset_class: str, class_slot: int) -> int:
+    if asset_class not in ASSET_CLASSES:
+        raise DataError(f"unknown asset class {asset_class!r}")
+    if not 1 <= class_slot <= N_SLOTS:
+        raise DataError(f"class_slot must be 1..{N_SLOTS}, got {class_slot}")
     return ASSET_CLASSES.index(asset_class) * N_SLOTS + (class_slot - 1)
 
 
@@ -98,14 +99,10 @@ class AssetPanel:
 
     def __post_init__(self):
         if len(self.instruments) != N_INSTRUMENTS:
-            raise ValueError(f"panel needs {N_INSTRUMENTS} instruments, got {len(self.instruments)}")
+            raise DataError(f"panel needs {N_INSTRUMENTS} instruments, got {len(self.instruments)}")
         for k, meta in enumerate(self.instruments):
-            if meta.asset_class not in ASSET_CLASSES:
-                raise ValueError(f"unknown asset class {meta.asset_class!r}")
-            if not 1 <= meta.class_slot <= N_SLOTS:
-                raise ValueError(f"class_slot must be 1..{N_SLOTS}, got {meta.class_slot}")
             if column_index(meta.asset_class, meta.class_slot) != k:
-                raise ValueError(
+                raise DataError(
                     f"instrument {meta.symbol!r} out of canonical (class, slot) order"
                 )
         t = len(self.dates)
@@ -113,13 +110,13 @@ class AssetPanel:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, arr)
             if arr.shape != (t, N_INSTRUMENTS):
-                raise ValueError(f"{name} must have shape {(t, N_INSTRUMENTS)}, got {arr.shape}")
+                raise ShapeError(f"{name} must have shape {(t, N_INSTRUMENTS)}, got {arr.shape}")
         if any(self.dates[i] >= self.dates[i + 1] for i in range(t - 1)):
             raise MisalignedDates("dates must be strictly increasing")
         if np.any(self.close <= 0) or np.any(self.low <= 0):
             raise NonPositivePrice("prices must be positive")
         if np.any(self.high < self.low):
-            raise ValueError("high < low")
+            raise DataError("high < low")
 
     @property
     def n_days(self) -> int:
@@ -285,7 +282,7 @@ class FeaturePanel:
     def samples(self, seq_len: int):
         """Sliding stride-1 windows, split train/test at the n_train boundary."""
         if seq_len < 1:
-            raise InvalidConfig("seq_len must be >= 1")
+            raise ConfigError("seq_len must be >= 1")
         if seq_len > self.n_days:
             raise InsufficientHistory(
                 f"{self.n_days} feature days cannot fit a window of {seq_len}"
@@ -324,7 +321,7 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
     first = WARMUP  # first day with every rolling feature defined
     last = t_total - 2  # last day with a next-day return
     if not 0.0 < split < 1.0:
-        raise InvalidConfig(f"split must be in (0, 1), got {split}")
+        raise ConfigError(f"split must be in (0, 1), got {split}")
     if last < first:
         raise InsufficientHistory(
             f"panel has {t_total} days; need at least {WARMUP + 2}"
@@ -411,16 +408,16 @@ class SynthConfig:
 
     def validate(self):
         if self.days < WARMUP + 10:
-            raise InvalidConfig(f"days must be >= {WARMUP + 10}, got {self.days}")
+            raise ConfigError(f"days must be >= {WARMUP + 10}, got {self.days}")
         if not 0.0 <= self.signal_strength <= 1.0:
-            raise InvalidConfig("signal_strength must be in [0, 1]")
+            raise ConfigError("signal_strength must be in [0, 1]")
         if self.daily_vol <= 0:
-            raise InvalidConfig("daily_vol must be > 0")
+            raise ConfigError("daily_vol must be > 0")
         symbols = {m.symbol for m in synth_symbols()}
         if self.target not in symbols:
-            raise InvalidConfig(f"unknown target {self.target!r}")
+            raise ConfigError(f"unknown target {self.target!r}")
         if self.driver not in symbols or self.driver == self.target:
-            raise InvalidConfig("driver must be a different instrument from target")
+            raise ConfigError("driver must be a different instrument from target")
         return self
 
 
@@ -508,18 +505,26 @@ def write_panel(panel: AssetPanel, out_dir) -> str:
     return manifest_path
 
 
+def _csv_rows(f, path, header):
+    """DictReader over an open CSV after checking that it has every column in header."""
+    reader = csv.DictReader(f)
+    missing = [c for c in header if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+    return reader
+
+
 def load_panel(manifest_path) -> AssetPanel:
     """Read a manifest + instrument CSVs, aligning on the date intersection."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
     with open(manifest_path, newline="") as f:
-        for row in csv.DictReader(f):
-            entries.append(
-                (
-                    InstrumentMeta(row["symbol"], row["asset_class"], int(row["class_slot"])),
-                    os.path.join(base, row["path"]),
-                )
-            )
+        for row in _csv_rows(f, manifest_path, MANIFEST_HEADER):
+            try:
+                meta = InstrumentMeta(row["symbol"], row["asset_class"], int(row["class_slot"]))
+                entries.append((meta, os.path.join(base, row["path"])))
+            except (TypeError, ValueError):
+                raise DataError(f"{manifest_path}: bad manifest row {row}") from None
     if len(entries) != N_INSTRUMENTS:
         raise MisalignedDates(
             f"manifest lists {len(entries)} instruments, need {N_INSTRUMENTS}"
@@ -531,13 +536,14 @@ def load_panel(manifest_path) -> AssetPanel:
     for meta, path in entries:
         rows = {}
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
+            for row in _csv_rows(f, path, PANEL_HEADER):
                 date = row["date"]
                 if date in rows:
                     raise MisalignedDates(f"{path}: duplicate date {date}")
-                rows[date] = tuple(
-                    float(row[c]) for c in PANEL_HEADER[1:]
-                )
+                try:
+                    rows[date] = tuple(float(row[c]) for c in PANEL_HEADER[1:])
+                except (TypeError, ValueError):
+                    raise DataError(f"{path}: non-numeric value on {date}") from None
         per_symbol[meta.symbol] = rows
         common = set(rows) if common is None else common & set(rows)
     if not common:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError, ShapeError
 
-class ShapeDrift(ValueError):
+
+class ShapeDrift(ShapeError):
     """A core changed shape between epoch snapshots."""
 
 
@@ -39,7 +41,7 @@ def core_change(snapshots) -> CoreChangeLog:
     the result is ||delta||_F^2 / core_element_count.
     """
     if len(snapshots) < 2:
-        raise ValueError("need at least two epoch snapshots")
+        raise DataError("need at least two epoch snapshots")
     shapes = [np.asarray(c).shape for c in snapshots[0]]
     for e, snap in enumerate(snapshots):
         if len(snap) != len(shapes):
@@ -70,7 +72,7 @@ def modal_ranking(log: CoreChangeLog):
     pairs with 1-based core numbers.
     """
     if log.n_cores == 0 or log.values.size == 0:
-        raise ValueError("empty core-change log")
+        raise DataError("empty core-change log")
     totals = log.values.sum(axis=1)
     order = sorted(range(log.n_cores), key=lambda n: (-totals[n], n))
     return [(n + 1, float(totals[n])) for n in order]
@@ -109,10 +111,13 @@ def read_core_change_csv(path) -> CoreChangeLog:
     """Rebuild a log from the CSV; core shapes are not recoverable and left empty."""
     rows = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append((int(row["core"]), int(row["epoch"]), float(row["normalized_change"])))
+        try:
+            for row in csv.DictReader(f):
+                rows.append((int(row["core"]), int(row["epoch"]), float(row["normalized_change"])))
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: malformed core-change line {len(rows) + 2}") from None
     if not rows:
-        raise ValueError(f"no core-change rows in {path}")
+        raise DataError(f"no core-change rows in {path}")
     cores = sorted({r[0] for r in rows})
     epochs = sorted({r[1] for r in rows})
     values = np.zeros((len(cores), len(epochs)))

@@ -14,39 +14,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import stream_rng
+from .config import config_ranks, stream_rng
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import DenseTensor
 from .ttformat import (
     TTMatrix,
+    _fmt_values,
+    _ints,
+    _parse_values,
     format_tt_matrix,
     parse_tt_matrix,
 )
 
 LABELS = (1, 0, -1)  # class indices 0, 1, 2
 N_CLASSES = 3
+CHECKPOINT_MAGIC = "ttrnn-model v1"
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(ShapeError):
     """Input or parameter shapes do not line up."""
 
 
-class EmptySequence(ValueError):
+class EmptySequence(ShapeError):
     pass
 
 
-class InvalidLabel(ValueError):
+class InvalidLabel(DataError):
     pass
 
 
-class CacheMismatch(ValueError):
+class CacheMismatch(ShapeError):
     """Backward called with a cache from a different batch."""
 
 
-class InvalidConfig(ValueError):
-    pass
-
-
-class EmptyDataset(ValueError):
+class EmptyDataset(DataError):
     pass
 
 
@@ -151,16 +152,14 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfig(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name in ("epochs", "batch_size", "seq_len"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
-        ranks = tuple(self.ranks)
-        if len(ranks) < 2 or ranks[0] != 1 or ranks[-1] != 1 or min(ranks) < 1:
-            raise InvalidConfig(f"ranks must be (1, r_1, ..., r_{{N-1}}, 1), got {ranks}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        config_ranks(self.ranks, len(self.ranks) - 1)
         if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         return self
 
 
@@ -217,18 +216,27 @@ def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
     return DenseTensor.from_ndarray(y_nd + layer.bias.to_ndarray())
 
 
+def _check_input(model: TTRNNModel, x: DenseTensor):
+    if x.shape != model.in_dims:
+        raise ShapeMismatch(f"input shape {x.shape} != model in_dims {model.in_dims}")
+
+
+def _cell_step(model: TTRNNModel, x_nd: np.ndarray, h: np.ndarray):
+    """tanh(feedback @ h + TT(x) + bias), plus the TT chain intermediates."""
+    y_nd, tt_steps = _tt_apply(model.cores, x_nd)
+    pre = model.feedback @ h + y_nd.ravel(order="F") + model.input_layer.bias.data
+    return np.tanh(pre), tt_steps
+
+
 def ttrnn_cell_forward(model: TTRNNModel, x_t: DenseTensor, h_prev: np.ndarray) -> np.ndarray:
     """One recurrence step: tanh(feedback @ h_prev + TT(x_t) + bias)."""
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x_t.shape != model.in_dims:
-        raise ShapeMismatch(f"input shape {x_t.shape} != model in_dims {model.in_dims}")
+    _check_input(model, x_t)
     if h_prev.shape != (model.hidden_size,):
         raise ShapeMismatch(
             f"hidden state must be ({model.hidden_size},), got {h_prev.shape}"
         )
-    y_nd, _ = _tt_apply(model.cores, x_t.to_ndarray())
-    pre = model.feedback @ h_prev + y_nd.ravel(order="F") + model.input_layer.bias.data
-    return np.tanh(pre)
+    return _cell_step(model, x_t.to_ndarray(), h_prev)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -254,13 +262,9 @@ def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
     h = np.zeros(model.hidden_size)
     hidden = [h]
     tt_steps = []
-    bias_flat = model.input_layer.bias.data
     for x in xs:
-        if x.shape != model.in_dims:
-            raise ShapeMismatch(f"input shape {x.shape} != model in_dims {model.in_dims}")
-        y_nd, steps = _tt_apply(model.cores, x.to_ndarray())
-        pre = model.feedback @ h + y_nd.ravel(order="F") + bias_flat
-        h = np.tanh(pre)
+        _check_input(model, x)
+        h, steps = _cell_step(model, x.to_ndarray(), h)
         hidden.append(h)
         tt_steps.append(steps)
     probs = softmax(model.head_weights @ h + model.head_bias)
@@ -377,15 +381,13 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
     """
     in_dims = tuple(int(d) for d in in_dims)
     hidden_dims = tuple(int(d) for d in hidden_dims)
-    ranks = tuple(int(r) for r in ranks)
     n = len(in_dims)
     if len(hidden_dims) != n:
-        raise InvalidConfig(
+        raise ConfigError(
             f"in_dims and hidden_dims must have the same mode count, "
             f"got {n} and {len(hidden_dims)}"
         )
-    if len(ranks) != n + 1 or ranks[0] != 1 or ranks[-1] != 1 or min(ranks) < 1:
-        raise InvalidConfig(f"ranks must be (1, ..., 1) of length {n + 1}, got {ranks}")
+    ranks = config_ranks(ranks, n)
     cores = []
     for k in range(n):
         std = 1.0 / math.sqrt(ranks[k] * in_dims[k])
@@ -466,10 +468,8 @@ def evaluate(model: TTRNNModel, dataset):
 
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
     """Write a text checkpoint: header, TT core block, dense parameter lines."""
-    from .ttformat import _fmt_values  # shared float formatting
-
     lines = [
-        "ttrnn-model v1",
+        CHECKPOINT_MAGIC,
         f"seed {seed}",
         f"epoch {epoch}",
         "hidden_dims " + ",".join(map(str, model.hidden_dims)),
@@ -484,29 +484,42 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
+    """Read a :func:`save_model` checkpoint; a malformed file raises DataError."""
     with open(path) as f:
         lines = f.read().strip("\n").split("\n")
-    if lines[0] != "ttrnn-model v1":
-        raise ValueError(f"not a model checkpoint: {lines[0]!r}")
-    meta = {
-        "seed": int(lines[1].split()[1]),
-        "epoch": int(lines[2].split()[1]),
-    }
-    hidden_dims = tuple(int(x) for x in lines[3].split()[1].split(","))
+    if lines[0] != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a model checkpoint: {lines[0]!r}")
+    try:
+        meta = {
+            "seed": int(lines[1].split()[1]),
+            "epoch": int(lines[2].split()[1]),
+        }
+        hidden_dims = _ints(lines[3].split()[1])
+    except (IndexError, ValueError):
+        raise DataError(f"{path}: malformed checkpoint header") from None
     n_modes = len(hidden_dims)
     weights = parse_tt_matrix("\n".join(lines[4 : 5 + n_modes]))
-    rest = lines[5 + n_modes :]
-    fields = {}
-    for line in rest:
-        name, _, values = line.partition(" ")
-        fields[name] = np.array([float(v) for v in values.split()])
     m = math.prod(hidden_dims)
+    shapes = {
+        "bias": (m,),
+        "feedback": (m, m),
+        "head_weights": (N_CLASSES, m),
+        "head_bias": (N_CLASSES,),
+    }
+    arrays = {}
+    for line in lines[5 + n_modes :]:
+        name, _, values = line.partition(" ")
+        if name in shapes:
+            arrays[name] = _parse_values(values, shapes[name])
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise DataError(f"{path}: checkpoint has no {', '.join(missing)} line")
     model = TTRNNModel(
         input_layer=TTLinearLayer(
-            weights=weights, bias=DenseTensor(hidden_dims, fields["bias"])
+            weights=weights, bias=DenseTensor(hidden_dims, arrays["bias"])
         ),
-        feedback=fields["feedback"].reshape((m, m), order="F"),
-        head_weights=fields["head_weights"].reshape((N_CLASSES, m), order="F"),
-        head_bias=fields["head_bias"],
+        feedback=arrays["feedback"],
+        head_weights=arrays["head_weights"],
+        head_bias=arrays["head_bias"],
     )
     return model, meta

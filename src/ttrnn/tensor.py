@@ -14,18 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeError
+
 Shape = tuple[int, ...]
 
 
-class ElementCountMismatch(ValueError):
+class ElementCountMismatch(ShapeError):
     """Reshape target has a different number of elements."""
 
 
-class ModeSizeMismatch(ValueError):
+class ModeSizeMismatch(ShapeError):
     """Contracted modes have different sizes."""
 
 
-class ModeIndexOutOfRange(ValueError):
+class ModeIndexOutOfRange(ShapeError):
     """Mode index outside 1..order."""
 
 
@@ -34,7 +36,7 @@ def check_shape(dims) -> Shape:
     dims = tuple(int(d) for d in dims)
     for d in dims:
         if d < 1:
-            raise ValueError(f"mode sizes must be >= 1, got {dims}")
+            raise ShapeError(f"mode sizes must be >= 1, got {dims}")
     return dims
 
 
@@ -105,7 +107,7 @@ class DenseTensor:
 
     def item(self) -> float:
         if self.size != 1:
-            raise ValueError(f"item() needs a single-entry tensor, shape {self.shape}")
+            raise ShapeError(f"item() needs a single-entry tensor, shape {self.shape}")
         return float(self.data[0])
 
     def value_at(self, *index: int) -> float:

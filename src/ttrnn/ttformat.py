@@ -15,19 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, check_shape, element_count
+from .errors import DataError, LengthMismatch, ShapeError
+from .tensor import DenseTensor, check_shape, element_count, frobenius_norm
 
 
-class RankMismatch(ValueError):
+class RankMismatch(ShapeError):
     """Adjacent cores disagree on their linking rank, or boundary rank != 1."""
 
 
-class InvalidRank(ValueError):
+class InvalidRank(ShapeError):
     """Requested TT ranks are malformed."""
 
 
-class LengthMismatch(ValueError):
-    """Dimension / rank lists have inconsistent lengths."""
+def check_ranks(ranks, n_modes: int) -> tuple[int, ...]:
+    """Validate a full rank tuple ``(1, R_1, ..., R_{N-1}, 1)`` for ``n_modes`` cores."""
+    if n_modes < 1:
+        raise InvalidRank("need at least one mode")
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != n_modes + 1:
+        raise InvalidRank(
+            f"ranks need {n_modes + 1} entries for {n_modes} modes, got {ranks}"
+        )
+    if ranks[0] != 1 or ranks[-1] != 1:
+        raise InvalidRank(f"boundary ranks must be 1, got {ranks}")
+    if min(ranks) < 1:
+        raise InvalidRank(f"ranks must be positive, got {ranks}")
+    return ranks
 
 
 def _check_chain(cores, ndim_expected: int, what: str):
@@ -110,41 +123,22 @@ class TTMatrix:
         return sum(c.size for c in self.cores)
 
 
-def tt_reconstruct(v: TTVector) -> DenseTensor:
-    """Assemble the full tensor by chaining contractions over the rank links."""
-    t = v.cores[0]
-    for core in v.cores[1:]:
+def _contract_chain(cores) -> DenseTensor:
+    """Chain contractions over the rank links, dropping the two boundary ranks."""
+    t = cores[0]
+    for core in cores[1:]:
         t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
     return DenseTensor.from_ndarray(t.reshape(t.shape[1:-1]))
 
 
-def tt_reconstruct_slices(v: TTVector) -> DenseTensor:
-    """Entry-by-entry assembly via slice matrix products.
-
-    Exponential in the order; kept as an independent cross-check for
-    :func:`tt_reconstruct`.
-    """
-    dims = v.dims
-    out = DenseTensor.zeros(dims)
-    buf = out.data
-    for off in range(out.size):
-        rem, idx = off, []
-        for d in dims:
-            idx.append(rem % d)
-            rem //= d
-        acc = v.cores[0][:, idx[0], :]
-        for n in range(1, len(dims)):
-            acc = acc @ v.cores[n][:, idx[n], :]
-        buf[off] = acc[0, 0]
-    return out
+def tt_reconstruct(v: TTVector) -> DenseTensor:
+    """Assemble the full tensor by chaining contractions over the rank links."""
+    return _contract_chain(v.cores)
 
 
 def mpo_reconstruct(w: TTMatrix) -> DenseTensor:
     """Assemble the order-2N tensor with interleaved (in_1, out_1, ..., in_N, out_N) modes."""
-    t = w.cores[0]
-    for core in w.cores[1:]:
-        t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
-    return DenseTensor.from_ndarray(t.reshape(t.shape[1:-1]))
+    return _contract_chain(w.cores)
 
 
 def mpo_to_matrix(w: TTMatrix) -> DenseTensor:
@@ -186,20 +180,10 @@ def tt_svd(t: DenseTensor, max_ranks=None, tol: float | None = None) -> TTVector
     if n_modes == 0:
         raise InvalidRank("cannot decompose an order-0 tensor")
     if max_ranks is not None:
-        max_ranks = tuple(int(r) for r in max_ranks)
-        if len(max_ranks) != n_modes + 1:
-            raise InvalidRank(
-                f"max_ranks needs {n_modes + 1} entries for an order-{n_modes} "
-                f"tensor, got {len(max_ranks)}"
-            )
-        if any(r < 1 for r in max_ranks):
-            raise InvalidRank(f"ranks must be positive, got {max_ranks}")
-        if max_ranks[0] != 1 or max_ranks[-1] != 1:
-            raise InvalidRank("boundary ranks must be 1")
+        max_ranks = check_ranks(max_ranks, n_modes)
     budget = None
     if tol is not None:
-        norm = math.sqrt(float(np.dot(t.data, t.data)))
-        budget = tol * norm / math.sqrt(max(n_modes - 1, 1))
+        budget = tol * frobenius_norm(t) / math.sqrt(max(n_modes - 1, 1))
 
     rem = np.array(t.data)
     r_prev = 1
@@ -227,17 +211,11 @@ def tt_param_count(in_dims, out_dims, ranks) -> int:
     """Parameter count of a TT matrix: sum of I_n * J_n * R_{n-1} * R_n."""
     in_dims = check_shape(in_dims)
     out_dims = check_shape(out_dims)
-    ranks = tuple(int(r) for r in ranks)
     if len(in_dims) != len(out_dims):
         raise LengthMismatch(
             f"in_dims has {len(in_dims)} modes, out_dims has {len(out_dims)}"
         )
-    if len(ranks) != len(in_dims) + 1:
-        raise LengthMismatch(
-            f"ranks needs {len(in_dims) + 1} entries, got {len(ranks)}"
-        )
-    if ranks[0] != 1 or ranks[-1] != 1:
-        raise LengthMismatch("boundary ranks must be 1")
+    ranks = check_ranks(ranks, len(in_dims))
     return sum(
         i * j * r0 * r1 for i, j, r0, r1 in zip(in_dims, out_dims, ranks, ranks[1:])
     )
@@ -246,13 +224,6 @@ def tt_param_count(in_dims, out_dims, ranks) -> int:
 def dense_param_count(in_dims, out_dims) -> int:
     """Parameter count of the uncompressed matrix: prod(in) * prod(out)."""
     return element_count(check_shape(in_dims)) * element_count(check_shape(out_dims))
-
-
-def full_ranks(n_modes: int, rank: int) -> tuple[int, ...]:
-    """Rank tuple (1, rank, ..., rank, 1) with n_modes-1 interior entries."""
-    if n_modes < 1:
-        raise InvalidRank("need at least one mode")
-    return (1,) + (int(rank),) * (n_modes - 1) + (1,)
 
 
 # --- text serialization -----------------------------------------------------
@@ -267,14 +238,36 @@ def _fmt_values(arr: np.ndarray) -> str:
 
 
 def _parse_values(line: str, shape) -> np.ndarray:
-    vals = np.array([float(x) for x in line.split()], dtype=np.float64)
+    try:
+        vals = np.array([float(x) for x in line.split()], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"bad number: {exc}") from None
     if vals.size != element_count(shape):
-        raise ValueError(f"expected {element_count(shape)} values, got {vals.size}")
+        raise DataError(f"expected {element_count(shape)} values, got {vals.size}")
     return vals.reshape(shape, order="F")
 
 
 def _ints(csv: str) -> tuple[int, ...]:
     return tuple(int(x) for x in csv.split(","))
+
+
+def _parse_block(text: str, tag: str, keys):
+    """Header integer lists for ``keys`` (ranks last) and the core data lines."""
+    lines = text.strip("\n").split("\n")
+    head = lines[0].split()
+    if not head or head[0] != tag:
+        raise DataError(f"not a {tag} block: {lines[0]!r}")
+    try:
+        fields = dict(kv.split("=") for kv in head[1:])
+        values = [_ints(fields[k]) for k in keys]
+    except (KeyError, ValueError):
+        raise DataError(f"malformed {tag} header: {lines[0]!r}") from None
+    n = len(values[0])
+    if any(len(v) != n for v in values[:-1]) or len(values[-1]) != n + 1:
+        raise DataError(f"{tag} header dims and ranks disagree: {lines[0]!r}")
+    if len(lines) != 1 + n:
+        raise DataError("core data line count does not match dims")
+    return values, lines[1:]
 
 
 def format_tt_vector(v: TTVector) -> str:
@@ -285,17 +278,10 @@ def format_tt_vector(v: TTVector) -> str:
 
 
 def parse_tt_vector(text: str) -> TTVector:
-    lines = text.strip("\n").split("\n")
-    head = lines[0].split()
-    if head[0] != "ttvec":
-        raise ValueError(f"not a TT vector block: {lines[0]!r}")
-    fields = dict(kv.split("=") for kv in head[1:])
-    dims, ranks = _ints(fields["dims"]), _ints(fields["ranks"])
-    if len(lines) != 1 + len(dims):
-        raise ValueError("core data line count does not match dims")
+    (dims, ranks), data = _parse_block(text, "ttvec", ("dims", "ranks"))
     cores = [
         _parse_values(line, (ranks[n], dims[n], ranks[n + 1]))
-        for n, line in enumerate(lines[1:])
+        for n, line in enumerate(data)
     ]
     return TTVector(cores)
 
@@ -310,17 +296,9 @@ def format_tt_matrix(w: TTMatrix) -> str:
 
 
 def parse_tt_matrix(text: str) -> TTMatrix:
-    lines = text.strip("\n").split("\n")
-    head = lines[0].split()
-    if head[0] != "ttmat":
-        raise ValueError(f"not a TT matrix block: {lines[0]!r}")
-    fields = dict(kv.split("=") for kv in head[1:])
-    in_dims, out_dims = _ints(fields["in"]), _ints(fields["out"])
-    ranks = _ints(fields["ranks"])
-    if len(lines) != 1 + len(in_dims):
-        raise ValueError("core data line count does not match dims")
+    (in_dims, out_dims, ranks), data = _parse_block(text, "ttmat", ("in", "out", "ranks"))
     cores = [
         _parse_values(line, (ranks[n], in_dims[n], out_dims[n], ranks[n + 1]))
-        for n, line in enumerate(lines[1:])
+        for n, line in enumerate(data)
     ]
     return TTMatrix(cores)

@@ -45,6 +45,23 @@ def le_offset_1based(shape, index) -> int:
     return off
 
 
+def tt_reconstruct_slices(v) -> DenseTensor:
+    """Entry-by-entry TT assembly via slice matrix products (exponential in the order)."""
+    dims = v.dims
+    out = DenseTensor.zeros(dims)
+    buf = out.data
+    for off in range(out.size):
+        rem, idx = off, []
+        for d in dims:
+            idx.append(rem % d)
+            rem //= d
+        acc = v.cores[0][:, idx[0], :]
+        for n in range(1, len(dims)):
+            acc = acc @ v.cores[n][:, idx[n], :]
+        buf[off] = acc[0, 0]
+    return out
+
+
 def mpo_entry(cores, in_idx, out_idx) -> float:
     """One entry of the tensorized matrix: product of core slices."""
     acc = cores[0][:, in_idx[0], out_idx[0], :]

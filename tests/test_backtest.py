@@ -40,6 +40,8 @@ class TestSizePositions:
             size_positions([[0.5, 0.2, 0.2]])
         with pytest.raises(InvalidDistribution):
             size_positions([[1.2, -0.1, -0.1]])
+        with pytest.raises(InvalidDistribution):
+            size_positions(np.full((2, 3), np.nan))
 
 
 class TestRunBacktest:

@@ -6,8 +6,9 @@ import pytest
 
 from ttrnn.cli import main
 from ttrnn.features import SynthConfig, synth_panel, write_panel
+from ttrnn.neural import TTLinearLayer, TTRNNModel, save_model
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import parse_tt_vector, tt_reconstruct
+from ttrnn.ttformat import TTMatrix, parse_tt_vector, tt_reconstruct
 
 FAST = [
     "--synth-days", "60",
@@ -18,6 +19,28 @@ FAST = [
     "--learning-rate", "0.01",
     "--seed", "11",
 ]
+
+
+def write_zero_checkpoint(path):
+    """Checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
+    in_dims, hidden = (2, 2, 5, 6, 4), (2, 2, 2, 2, 2)
+    ranks = (1, 2, 2, 2, 2, 1)
+    cores = [
+        np.zeros((ranks[k], in_dims[k], hidden[k], ranks[k + 1]))
+        for k in range(5)
+    ]
+    model = TTRNNModel(
+        input_layer=TTLinearLayer(weights=TTMatrix(cores), bias=DenseTensor.zeros(hidden)),
+        feedback=np.zeros((32, 32)),
+        head_weights=np.zeros((3, 32)),
+        head_bias=np.zeros(3),
+    )
+    save_model(model, path)
+
+
+def assert_one_line_error(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind} error: ") and err.count("\n") == 1, err
 
 
 def read_tree(root):
@@ -116,26 +139,8 @@ class TestBacktestCommand:
 class TestZeroModelBacktest:
     def test_uniform_probabilities_give_flat_pnl(self, tmp_path, capsys):
         # a zero model predicts (1/3, 1/3, 1/3) every day: no position, no PnL
-        import numpy as np
-
-        from ttrnn.neural import TTLinearLayer, TTRNNModel, save_model
-        from ttrnn.tensor import DenseTensor as DT
-        from ttrnn.ttformat import TTMatrix
-
-        in_dims, hidden = (2, 2, 5, 6, 4), (2, 2, 2, 2, 2)
-        ranks = (1, 2, 2, 2, 2, 1)
-        cores = [
-            np.zeros((ranks[k], in_dims[k], hidden[k], ranks[k + 1]))
-            for k in range(5)
-        ]
-        model = TTRNNModel(
-            input_layer=TTLinearLayer(weights=TTMatrix(cores), bias=DT.zeros(hidden)),
-            feedback=np.zeros((32, 32)),
-            head_weights=np.zeros((3, 32)),
-            head_bias=np.zeros(3),
-        )
         ckpt = tmp_path / "zero.txt"
-        save_model(model, ckpt)
+        write_zero_checkpoint(ckpt)
         out = tmp_path / "out"
         code = main(
             ["backtest", "--checkpoint", str(ckpt), "--out-dir", str(out)] + FAST
@@ -206,3 +211,59 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["report-cores", "--log", str(tmp_path / "missing.csv")])
         assert code == 1
+
+
+class TestBadInputExitCodes:
+    """Outside input that is malformed gets its exit code and a one-line message."""
+
+    def test_header_only_core_change_log(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n")
+        assert main(["report-cores", "--log", str(log)]) == 3
+        assert_one_line_error(capsys, "data")
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda lines: ["not-a-model v1"] + lines[1:],  # wrong first line
+            lambda lines: lines[:7],  # inside the TT core block
+            lambda lines: lines[:11],  # after the core block and bias
+            lambda lines: lines[:-1] + [lines[-1] + " 0.0"],  # head_bias too long
+        ],
+        ids=["header", "inside-cores", "after-cores", "field-length"],
+    )
+    def test_damaged_checkpoint(self, tmp_path, capsys, cut):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        ckpt.write_text("\n".join(cut(ckpt.read_text().splitlines())) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        assert_one_line_error(capsys, "data")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text.replace("\n2006-05-03,", "\n2006-05-03,abc", 1),
+            lambda text: "\n".join(
+                ",".join(line.split(",")[:4] + line.split(",")[5:])
+                for line in text.splitlines()
+            ),
+        ],
+        ids=["non-numeric-cell", "missing-column"],
+    )
+    def test_damaged_instrument_csv(self, tmp_path, capsys, damage):
+        manifest = write_panel(synth_panel(SynthConfig(days=50), 1), tmp_path / "data")
+        csv_path = tmp_path / "data" / "EQ3.csv"
+        csv_path.write_text(damage(csv_path.read_text()))
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
+        )
+        assert code == 3
+        assert_one_line_error(capsys, "data")
+
+    @pytest.mark.parametrize("option", [["--learning-rate", "nan"], ["--ranks", "0"]])
+    def test_bad_setting(self, tmp_path, capsys, option):
+        code = main(["train", "--out-dir", str(tmp_path)] + FAST + option)
+        assert code == 2
+        assert_one_line_error(capsys, "config")
+        assert not (tmp_path / "epoch_losses.csv").exists()

@@ -1,0 +1,58 @@
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import ttrnn
+from ttrnn.config import RunConfig, build_config
+from ttrnn.errors import ConfigError, DataError, ShapeError
+
+BASES = (ConfigError, DataError, ShapeError)
+
+
+class TestRankSpellings:
+    @pytest.mark.parametrize(
+        "text, full",
+        [
+            ("6", (1, 6, 6, 6, 6, 1)),  # scalar
+            ("2,3,4,5", (1, 2, 3, 4, 5, 1)),  # interior list
+            ("1,2,3,4,5,1", (1, 2, 3, 4, 5, 1)),  # full list
+        ],
+    )
+    def test_spellings(self, text, full):
+        assert RunConfig(ranks=text).rank_tuple() == full
+
+    @pytest.mark.parametrize(
+        "text", ["2,2", "1,2,2,2,2,2,1", "0", "2,0,2,2", "2,2,2,2,2,1", "two"]
+    )
+    def test_wrong_length_or_zero_ranks(self, text):
+        with pytest.raises(ConfigError):
+            build_config(overrides={"ranks": text})
+
+
+class TestLearningRate:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_rejected(self, value):
+        with pytest.raises(ConfigError):
+            build_config(overrides={"learning_rate": value})
+
+    def test_finite_positive_accepted(self):
+        assert build_config(overrides={"learning_rate": "0.5"}).learning_rate == 0.5
+
+
+def test_every_exception_has_exactly_one_base():
+    """A class outside the taxonomy would reach the user as a traceback."""
+    found = []
+    for info in pkgutil.iter_modules(ttrnn.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"ttrnn.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or not issubclass(cls, BaseException):
+                continue
+            if cls in BASES:
+                continue
+            found.append(cls.__qualname__)
+            assert sum(issubclass(cls, base) for base in BASES) == 1, cls
+    assert len(found) >= 19, found

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import feature_vector_scalar
+from ttrnn.errors import ConfigError
 from ttrnn.features import (
     ASSET_CLASSES,
     FEATURE_NAMES,
     InsufficientHistory,
-    InvalidConfig,
     MisalignedDates,
     N_FEATURES,
     N_SLOTS,
@@ -293,11 +293,11 @@ class TestSynthPanel:
         assert hits / fp.n_days > 0.9
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             SynthConfig(days=10).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             SynthConfig(signal_strength=1.5).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             SynthConfig(target="EQ1", driver="EQ1").validate()
 
 

@@ -11,12 +11,12 @@ from oracles import (
     rebuild_model,
 )
 from ttrnn.config import stream_rng
+from ttrnn.errors import ConfigError
 from ttrnn.neural import (
     CacheMismatch,
     EmptyDataset,
     EmptySequence,
     Gradients,
-    InvalidConfig,
     InvalidLabel,
     ShapeMismatch,
     TrainConfig,
@@ -399,12 +399,15 @@ class TestTrain:
             train(tiny_model(), [], TrainConfig(ranks=(1, 2, 2, 1)))
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             TrainConfig(epochs=0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             TrainConfig(ranks=(2, 2)).validate()
+        for lr in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig(learning_rate=lr).validate()
 
 
 class TestInitModel:
@@ -447,9 +450,9 @@ class TestInitModel:
         ) == 2016
 
     def test_bad_dims(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             init_model((2, 2), (2, 2, 2), (1, 2, 2, 1), np.random.default_rng(0))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError):
             init_model((2, 2), (2, 2), (1, 2), np.random.default_rng(0))
 
 

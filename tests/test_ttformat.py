@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import le_offset_1based, mpo_entry
+from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
 from ttrnn.ttformat import (
     InvalidRank,
@@ -12,17 +12,16 @@ from ttrnn.ttformat import (
     RankMismatch,
     TTMatrix,
     TTVector,
+    check_ranks,
     dense_param_count,
     format_tt_matrix,
     format_tt_vector,
-    full_ranks,
     mpo_reconstruct,
     mpo_to_matrix,
     parse_tt_matrix,
     parse_tt_vector,
     tt_param_count,
     tt_reconstruct,
-    tt_reconstruct_slices,
     tt_svd,
 )
 
@@ -224,14 +223,17 @@ class TestParamCount:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             tt_param_count((2, 2), (2,), (1, 1, 1))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidRank):  # ranks go through check_ranks
             tt_param_count((2, 2), (2, 2), (1, 1))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidRank):
             tt_param_count((2, 2), (2, 2), (1, 2, 2))
 
-    def test_full_ranks_helper(self):
-        assert full_ranks(5, 6) == (1, 6, 6, 6, 6, 1)
-        assert full_ranks(1, 9) == (1, 1)
+    def test_check_ranks(self):
+        assert check_ranks((1, 6, 6, 6, 6, 1), 5) == (1, 6, 6, 6, 6, 1)
+        assert check_ranks([1, 1], 1) == (1, 1)
+        for ranks, n_modes in [((1, 6, 1), 5), ((2, 6, 1), 2), ((1, 0, 1), 2), ((1,), 0)]:
+            with pytest.raises(InvalidRank):
+                check_ranks(ranks, n_modes)
 
 
 class TestSerialization:
