@@ -222,17 +222,31 @@ def cmd_report_cores(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    max_ranks = None
+    if args.max_ranks:
+        try:
+            max_ranks = ttformat._ints(args.max_ranks)
+        except ValueError:
+            raise ConfigError(
+                f"--max-ranks must be comma-separated integers, got {args.max_ranks!r}"
+            ) from None
     with open(args.input) as f:
         lines = f.read().strip("\n").split("\n")
     head = lines[0].split()
-    if head[0] != "tensor" or len(lines) < 2:
-        raise ConfigError(f"{args.input}: expected 'tensor dims=...' header plus data line")
-    dims = tuple(int(x) for x in dict(kv.split("=") for kv in head[1:])["dims"].split(","))
-    values = np.array([float(x) for x in lines[1].split()])
-    t = tensor.DenseTensor(dims, values)
-    max_ranks = None
-    if args.max_ranks:
-        max_ranks = tuple(int(x) for x in args.max_ranks.split(","))
+    try:
+        if head[0] != "tensor" or len(lines) < 2:
+            raise ValueError
+        dims = ttformat._ints(dict(kv.split("=") for kv in head[1:])["dims"])
+        if min(dims) < 1:
+            raise ValueError
+    except (IndexError, KeyError, ValueError):
+        raise DataError(
+            f"{args.input}: expected a 'tensor dims=...' header (positive sizes) "
+            "plus a data line"
+        ) from None
+    t = tensor.DenseTensor(dims, ttformat._parse_values(lines[1], dims))
+    if not np.all(np.isfinite(t.data)):
+        raise DataError(f"{args.input}: tensor values must be finite")
     tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=args.tol)
     with open(args.out, "w") as f:
         f.write(ttformat.format_tt_vector(tt))

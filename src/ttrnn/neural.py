@@ -166,77 +166,69 @@ class TrainConfig:
 # --- TT linear map: forward chain and its hand-derived reverse sweep --------
 
 
-def _tt_apply(cores, x_nd):
-    """Contract an input tensor against the cores left to right.
+def _tt_apply(cores, x):
+    """Contract a batch of inputs ``(N, I_1, ..., I_d)`` against the cores.
 
-    The running state after consuming k cores has shape
-    ``(R_k, I_{k+1}, ..., I_N, J_1, ..., J_k)``: one rank axis, the input
-    modes not yet consumed, then the output modes produced so far.  Returns
-    the output tensor and all intermediate states (needed for gradients).
+    The state after k cores is ``(N, R_k, I_{k+1}, ..., I_d, J_1, ..., J_k)``;
+    each step is one matrix product shared by the batch.  Returns the
+    ``(N, J_1, ..., J_d)`` output and every state, for the reverse sweep.
     """
-    state = x_nd[np.newaxis, ...]
-    steps = [state]
+    state = x[:, np.newaxis]
+    states = [state]
     for core in cores:
-        mixed = np.tensordot(state, core, axes=([0, 1], [0, 1]))
-        state = np.moveaxis(mixed, -1, 0)
-        steps.append(state)
-    return state[0], steps
+        mixed = np.tensordot(state, core, axes=([1, 2], [0, 1]))
+        state = np.moveaxis(mixed, -1, 1)
+        states.append(state)
+    return state[:, 0], states
 
 
-def _tt_apply_grads(cores, steps, dy_nd):
-    """Reverse sweep of :func:`_tt_apply`.
+def _tt_core_grads(cores, x, dy):
+    """Reverse sweep of :func:`_tt_apply`: each core's gradient, summed over the batch.
 
-    Walks the chain backwards, producing the gradient of each core and of
-    the input, given the gradient of the output tensor.
+    ``dy`` is the ``(N, J_1, ..., J_d)`` gradient of the output.  The chain
+    states are recomputed from ``x`` rather than kept from the forward pass.
     """
-    n = len(cores)
-    d_state = dy_nd[np.newaxis, ...]
-    d_cores = [None] * n
-    for k in range(n - 1, -1, -1):
-        before = steps[k]
-        d_mixed = np.moveaxis(d_state, 0, -1)
-        n_shared = before.ndim - 2
-        d_cores[k] = np.tensordot(
-            before,
-            d_mixed,
-            axes=(list(range(2, 2 + n_shared)), list(range(n_shared))),
-        )
-        d_before = np.tensordot(
-            d_mixed, cores[k], axes=([d_mixed.ndim - 2, d_mixed.ndim - 1], [2, 3])
-        )
-        d_state = np.moveaxis(d_before, (d_before.ndim - 2, d_before.ndim - 1), (0, 1))
-    return d_cores, d_state[0]
+    _, states = _tt_apply(cores, x)
+    d_state = dy[:, np.newaxis]
+    d_cores = [None] * len(cores)
+    for k in range(len(cores) - 1, -1, -1):
+        before = states[k]
+        d_mixed = np.moveaxis(d_state, 1, -1)
+        shared = [0] + list(range(3, before.ndim))
+        d_cores[k] = np.tensordot(before, d_mixed, axes=(shared, list(range(before.ndim - 2))))
+        if k:
+            d_before = np.tensordot(d_mixed, cores[k], axes=([-2, -1], [2, 3]))
+            d_state = np.moveaxis(d_before, (-2, -1), (1, 2))
+    return d_cores
+
+
+def _project(layer: TTLinearLayer, xs):
+    """Stack input tensors to ``(N, *in_dims)`` and map them to TT(x) + bias rows.
+
+    The one input shape check; returns the stack and the ``(N, M)``
+    fastest-first outputs.
+    """
+    for x in xs:
+        if x.shape != layer.in_dims:
+            raise ShapeMismatch(f"input shape {x.shape} != in_dims {layer.in_dims}")
+    x = np.stack([x.to_ndarray() for x in xs])
+    y, _ = _tt_apply(layer.weights.cores, x)
+    return x, y.reshape(len(x), -1, order="F") + layer.bias.data
 
 
 def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
     """Apply the TT-format linear map to an input tensor and add the bias."""
-    if x.shape != layer.in_dims:
-        raise ShapeMismatch(f"input shape {x.shape} != layer in_dims {layer.in_dims}")
-    y_nd, _ = _tt_apply(layer.weights.cores, x.to_ndarray())
-    return DenseTensor.from_ndarray(y_nd + layer.bias.to_ndarray())
-
-
-def _check_input(model: TTRNNModel, x: DenseTensor):
-    if x.shape != model.in_dims:
-        raise ShapeMismatch(f"input shape {x.shape} != model in_dims {model.in_dims}")
-
-
-def _cell_step(model: TTRNNModel, x_nd: np.ndarray, h: np.ndarray):
-    """tanh(feedback @ h + TT(x) + bias), plus the TT chain intermediates."""
-    y_nd, tt_steps = _tt_apply(model.cores, x_nd)
-    pre = model.feedback @ h + y_nd.ravel(order="F") + model.input_layer.bias.data
-    return np.tanh(pre), tt_steps
+    return DenseTensor(layer.out_dims, _project(layer, [x])[1][0])
 
 
 def ttrnn_cell_forward(model: TTRNNModel, x_t: DenseTensor, h_prev: np.ndarray) -> np.ndarray:
     """One recurrence step: tanh(feedback @ h_prev + TT(x_t) + bias)."""
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_input(model, x_t)
     if h_prev.shape != (model.hidden_size,):
         raise ShapeMismatch(
             f"hidden state must be ({model.hidden_size},), got {h_prev.shape}"
         )
-    return _cell_step(model, x_t.to_ndarray(), h_prev)[0]
+    return np.tanh(model.feedback @ h_prev + _project(model.input_layer, [x_t])[1][0])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -247,34 +239,34 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SequenceCache:
-    """Per-sample activations retained for the backward pass."""
+    """One window's activations retained for the backward pass."""
 
-    xs: list
-    hidden: list  # h_0 .. h_T
-    tt_steps: list  # per time step, the intermediates of _tt_apply
+    x: np.ndarray  # (T, *in_dims) inputs
+    hidden: np.ndarray  # (T + 1, M): h_0 .. h_T
     probs: np.ndarray
 
 
 def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
-    """Run the cell over a window of input tensors; classify the final state."""
+    """Run the cell over a window of input tensors; classify the final state.
+
+    The TT input projection of all T steps is one batched call; only the
+    feedback recurrence runs step by step.
+    """
     if not xs:
         raise EmptySequence("need at least one time step")
-    h = np.zeros(model.hidden_size)
-    hidden = [h]
-    tt_steps = []
-    for x in xs:
-        _check_input(model, x)
-        h, steps = _cell_step(model, x.to_ndarray(), h)
-        hidden.append(h)
-        tt_steps.append(steps)
-    probs = softmax(model.head_weights @ h + model.head_bias)
-    return probs, SequenceCache(xs=list(xs), hidden=hidden, tt_steps=tt_steps, probs=probs)
+    x, y = _project(model.input_layer, xs)
+    hidden = np.zeros((len(xs) + 1, model.hidden_size))
+    for t, y_t in enumerate(y):
+        hidden[t + 1] = np.tanh(model.feedback @ hidden[t] + y_t)
+    probs = softmax(model.head_weights @ hidden[-1] + model.head_bias)
+    return probs, SequenceCache(x=x, hidden=hidden, probs=probs)
 
 
 def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
-    """Negative log probability of the true movement class."""
+    """Negative log probability of the true movement class (inf for probability 0)."""
     ci = class_index(label)
-    return float(-np.log(probs[ci]))
+    with np.errstate(divide="ignore"):
+        return float(-np.log(probs[ci]))
 
 
 @dataclass
@@ -304,50 +296,45 @@ def forward_batch(model: TTRNNModel, batch):
 def backward(model: TTRNNModel, batch, caches) -> Gradients:
     """Backpropagation through time over a batch, mean reduction.
 
-    For each sample the head error flows into the final hidden state, then
-    backwards through the tanh recurrence; at every step the pre-activation
-    gradient splits into the feedback matrix, the bias, and the TT core
-    chain of that step's input.
+    The windows are stacked and walked back step by step on ``(B, M)``
+    matrices: each step's pre-activation gradient feeds the feedback matrix
+    (one matrix product), the bias, and the TT cores through that step's
+    input chain, recomputed for the whole batch.
     """
     if len(batch) != len(caches):
         raise CacheMismatch(f"{len(batch)} samples but {len(caches)} caches")
-    m = model.hidden_size
+    for (xs, _), cache in zip(batch, caches):
+        if len(cache.x) != len(xs):
+            raise CacheMismatch("cache does not match this batch entry")
+    if len({len(xs) for xs, _ in batch}) > 1:
+        raise ShapeMismatch("every window of a batch needs the same number of steps")
+    n = len(batch)
     hidden_dims = model.hidden_dims
     cores = model.cores
+    x = np.stack([c.x for c in caches], axis=1)  # (T, B, *in_dims)
+    hidden = np.stack([c.hidden for c in caches], axis=1)  # (T + 1, B, M)
+    d_logits = np.stack([c.probs for c in caches])
+    d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
     d_cores = [np.zeros_like(c) for c in cores]
     d_feedback = np.zeros_like(model.feedback)
-    d_bias = np.zeros(m)
-    d_head_w = np.zeros_like(model.head_weights)
-    d_head_b = np.zeros(N_CLASSES)
+    d_bias = np.zeros(model.hidden_size)
+    dh = d_logits @ model.head_weights
+    for t in range(len(x) - 1, -1, -1):
+        d_pre = dh * (1.0 - hidden[t + 1] * hidden[t + 1])
+        d_bias += d_pre.sum(axis=0)
+        d_feedback += d_pre.T @ hidden[t]
+        dy = d_pre.reshape((n,) + hidden_dims, order="F")
+        for acc, g in zip(d_cores, _tt_core_grads(cores, x[t], dy)):
+            acc += g
+        dh = d_pre @ model.feedback
 
-    for (xs, label), cache in zip(batch, caches):
-        if cache.xs is not xs and len(cache.xs) != len(xs):
-            raise CacheMismatch("cache does not match this batch entry")
-        ci = class_index(label)
-        d_logits = cache.probs.copy()
-        d_logits[ci] -= 1.0
-        h_final = cache.hidden[-1]
-        d_head_w += np.outer(d_logits, h_final)
-        d_head_b += d_logits
-        dh = model.head_weights.T @ d_logits
-        for t in range(len(xs) - 1, -1, -1):
-            h_t = cache.hidden[t + 1]
-            d_pre = dh * (1.0 - h_t * h_t)
-            d_bias += d_pre
-            d_feedback += np.outer(d_pre, cache.hidden[t])
-            dy_nd = d_pre.reshape(hidden_dims, order="F")
-            step_core_grads, _ = _tt_apply_grads(cores, cache.tt_steps[t], dy_nd)
-            for acc, g in zip(d_cores, step_core_grads):
-                acc += g
-            dh = model.feedback.T @ d_pre
-
-    scale = 1.0 / len(batch)
+    scale = 1.0 / n
     return Gradients(
         cores=[g * scale for g in d_cores],
         feedback=d_feedback * scale,
         bias=(d_bias * scale).reshape(hidden_dims, order="F"),
-        head_weights=d_head_w * scale,
-        head_bias=d_head_b * scale,
+        head_weights=(d_logits.T @ hidden[-1]) * scale,
+        head_bias=d_logits.sum(axis=0) * scale,
     )
 
 
@@ -420,7 +407,9 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
 
     ``dataset`` is a list of (inputs, label) pairs.  After every epoch the
     TT cores are snapshotted; the normalized per-core change between
-    consecutive snapshots is summarized in the returned log.
+    consecutive snapshots is summarized in the returned log.  A batch whose
+    mean loss is not finite stops training with :class:`ConfigError`: the
+    learning rate is too large.
     """
     from . import interpret
 
@@ -431,12 +420,17 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
     n = len(dataset)
     epoch_losses = []
     snapshots = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[start : start + config.batch_size]]
             mean_loss, caches = forward_batch(model, batch)
+            if not math.isfinite(mean_loss):
+                raise ConfigError(
+                    f"training diverged in epoch {epoch}: batch loss {mean_loss} "
+                    f"at learning rate {config.learning_rate}"
+                )
             total += mean_loss * len(batch)
             grads = backward(model, batch, caches)
             model = sgd_step(model, grads, config.learning_rate)

@@ -10,7 +10,16 @@ import math
 
 import numpy as np
 
-from ttrnn.neural import TTLinearLayer, TTRNNModel, cross_entropy_loss, forward_sequence
+from ttrnn.neural import (
+    N_CLASSES,
+    Gradients,
+    TTLinearLayer,
+    TTRNNModel,
+    class_index,
+    cross_entropy_loss,
+    forward_sequence,
+    softmax,
+)
 from ttrnn.tensor import DenseTensor
 from ttrnn.ttformat import TTMatrix
 
@@ -86,6 +95,86 @@ def dense_cell_apply(model: TTRNNModel, x: DenseTensor, h_prev: np.ndarray) -> n
     w = mpo_to_matrix(model.input_layer.weights).to_ndarray()
     pre = model.feedback @ h_prev + w @ x.data + model.input_layer.bias.data
     return np.tanh(pre)
+
+
+def _tt_apply_one(cores, x_nd):
+    """One input through the core chain; returns the output and every state.
+
+    The state after k cores is ``(R_k, I_{k+1}, ..., I_N, J_1, ..., J_k)``.
+    """
+    state = x_nd[np.newaxis, ...]
+    steps = [state]
+    for core in cores:
+        mixed = np.tensordot(state, core, axes=([0, 1], [0, 1]))
+        state = np.moveaxis(mixed, -1, 0)
+        steps.append(state)
+    return state[0], steps
+
+
+def _tt_core_grads_one(cores, steps, dy_nd):
+    """Reverse sweep of :func:`_tt_apply_one` for one output gradient."""
+    d_state = dy_nd[np.newaxis, ...]
+    d_cores = [None] * len(cores)
+    for k in range(len(cores) - 1, -1, -1):
+        before = steps[k]
+        d_mixed = np.moveaxis(d_state, 0, -1)
+        n_shared = before.ndim - 2
+        d_cores[k] = np.tensordot(
+            before,
+            d_mixed,
+            axes=(list(range(2, 2 + n_shared)), list(range(n_shared))),
+        )
+        d_before = np.tensordot(
+            d_mixed, cores[k], axes=([d_mixed.ndim - 2, d_mixed.ndim - 1], [2, 3])
+        )
+        d_state = np.moveaxis(d_before, (d_before.ndim - 2, d_before.ndim - 1), (0, 1))
+    return d_cores
+
+
+def backward_per_sample(model: TTRNNModel, batch) -> Gradients:
+    """Mean-over-batch BPTT gradients, one sample and one time step at a time.
+
+    Each sample runs its own forward pass, keeping every step's core-chain
+    states; its error then flows back step by step into rank-1 feedback
+    updates and a per-step reverse sweep through the cores.
+    """
+    m = model.hidden_size
+    cores = model.cores
+    bias = model.input_layer.bias.data
+    d_cores = [np.zeros_like(c) for c in cores]
+    d_feedback = np.zeros_like(model.feedback)
+    d_bias = np.zeros(m)
+    d_head_w = np.zeros_like(model.head_weights)
+    d_head_b = np.zeros(N_CLASSES)
+    for xs, label in batch:
+        hidden = [np.zeros(m)]
+        tt_steps = []
+        for x in xs:
+            y_nd, steps = _tt_apply_one(cores, x.to_ndarray())
+            hidden.append(np.tanh(model.feedback @ hidden[-1] + y_nd.ravel(order="F") + bias))
+            tt_steps.append(steps)
+        d_logits = softmax(model.head_weights @ hidden[-1] + model.head_bias)
+        d_logits[class_index(label)] -= 1.0
+        d_head_w += np.outer(d_logits, hidden[-1])
+        d_head_b += d_logits
+        dh = model.head_weights.T @ d_logits
+        for t in range(len(xs) - 1, -1, -1):
+            h_t = hidden[t + 1]
+            d_pre = dh * (1.0 - h_t * h_t)
+            d_bias += d_pre
+            d_feedback += np.outer(d_pre, hidden[t])
+            dy_nd = d_pre.reshape(model.hidden_dims, order="F")
+            for acc, g in zip(d_cores, _tt_core_grads_one(cores, tt_steps[t], dy_nd)):
+                acc += g
+            dh = model.feedback.T @ d_pre
+    scale = 1.0 / len(batch)
+    return Gradients(
+        cores=[g * scale for g in d_cores],
+        feedback=d_feedback * scale,
+        bias=(d_bias * scale).reshape(model.hidden_dims, order="F"),
+        head_weights=d_head_w * scale,
+        head_bias=d_head_b * scale,
+    )
 
 
 def rebuild_model(model: TTRNNModel, arrays) -> TTRNNModel:

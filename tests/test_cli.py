@@ -267,3 +267,36 @@ class TestBadInputExitCodes:
         assert code == 2
         assert_one_line_error(capsys, "config")
         assert not (tmp_path / "epoch_losses.csv").exists()
+
+    def test_divergent_training(self, tmp_path, capsys):
+        code = main(["train", "--out-dir", str(tmp_path)] + FAST + ["--learning-rate", "1e3"])
+        assert code == 2
+        assert_one_line_error(capsys, "config")
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "tensor dims=2,x\n1.0 2.0\n",
+            "tensor dims=2,2\n1.0 2.0 abc 4.0\n",
+            "",
+            "tensor dims=2,2\n1.0 nan 3.0 4.0\n",
+        ],
+        ids=["bad-dims", "non-numeric-value", "empty-file", "nan-value"],
+    )
+    def test_malformed_tensor_file(self, tmp_path, capsys, text):
+        src = tmp_path / "tensor.txt"
+        src.write_text(text)
+        code = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt")])
+        assert code == 3
+        assert_one_line_error(capsys, "data")
+
+    def test_malformed_max_ranks(self, tmp_path, capsys):
+        src = tmp_path / "tensor.txt"
+        src.write_text("tensor dims=2,2\n1.0 2.0 3.0 4.0\n")
+        code = main(
+            ["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt"),
+             "--max-ranks", "1,a,1"]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "config")

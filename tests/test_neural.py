@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    backward_per_sample,
     batch_loss,
     dense_cell_apply,
     dense_layer_apply,
@@ -301,6 +304,59 @@ class TestBackward:
         _, caches = forward_batch(model, batch)
         with pytest.raises(CacheMismatch):
             backward(model, batch, caches[:1])
+
+
+@st.composite
+def model_and_batch(draw):
+    """A random model of 1-4 modes with a batch of 1-5 windows of 1-4 steps."""
+    n = draw(st.integers(1, 4))
+    in_dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    hidden = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    inner = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_model(in_dims, hidden, (1, *inner, 1), rng)
+    # random bias and head bias, so no gradient block is trivially zero
+    model = rebuild_model(
+        model,
+        [c for _, c in model.named_params()[:-3]]
+        + [rng.normal(size=model.hidden_size), model.head_weights, rng.normal(size=3)],
+    )
+    return model, make_batch(rng, model, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+
+
+def one_core_case():
+    rng = np.random.default_rng(61)
+    model = init_model((4,), (3,), (1, 1), np.random.default_rng(62))
+    return model, make_batch(rng, model, 2, 2, labels=[1, 0])
+
+
+class TestBatchedBackward:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(model_and_batch())
+    @example(one_core_case())
+    def test_matches_per_sample_oracle(self, case):
+        model, batch = case
+        _, caches = forward_batch(model, batch)
+        got = backward(model, batch, caches)
+        want = backward_per_sample(model, batch)
+        blocks = [
+            (f"core{k}", g, w) for k, (g, w) in enumerate(zip(got.cores, want.cores))
+        ] + [
+            (name, getattr(got, name), getattr(want, name))
+            for name in ("feedback", "bias", "head_weights", "head_bias")
+        ]
+        for name, g, w in blocks:
+            assert g.shape == w.shape, name
+            scale = np.max(np.abs(w)) or 1.0
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
+
+    def test_ragged_windows_rejected(self):
+        rng = np.random.default_rng(67)
+        model = tiny_model()
+        batch = make_batch(rng, model, 1, 3) + make_batch(rng, model, 1, 2)
+        _, caches = forward_batch(model, batch)
+        with pytest.raises(ShapeMismatch):
+            backward(model, batch, caches)
 
 
 class TestSGD:
