@@ -246,20 +246,49 @@ class SequenceCache:
     probs: np.ndarray
 
 
-def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
-    """Run the cell over a window of input tensors; classify the final state.
-
-    The TT input projection of all T steps is one batched call; only the
-    feedback recurrence runs step by step.
-    """
-    if not xs:
+def _window_length(windows) -> int:
+    """The common step count of a batch of windows; empty or ragged ones are rejected."""
+    if not all(windows):
         raise EmptySequence("need at least one time step")
-    x, y = _project(model.input_layer, xs)
-    hidden = np.zeros((len(xs) + 1, model.hidden_size))
-    for t, y_t in enumerate(y):
-        hidden[t + 1] = np.tanh(model.feedback @ hidden[t] + y_t)
-    probs = softmax(model.head_weights @ hidden[-1] + model.head_bias)
-    return probs, SequenceCache(x=x, hidden=hidden, probs=probs)
+    if len({len(xs) for xs in windows}) > 1:
+        raise ShapeMismatch("every window of a batch needs the same number of steps")
+    return len(windows[0])
+
+
+def _forward_windows(model: TTRNNModel, windows):
+    """Run the cell over B windows of T steps each and classify their final states.
+
+    Windows cut from one day sequence share its day tensors, so the inputs
+    are collected by identity and every distinct one is projected once; a
+    ``(B, T)`` index gathers each step's rows for the ``(B, M)`` recurrence.
+    Returns the distinct inputs ``(D, *in_dims)``, the index, the hidden
+    states ``(T + 1, B, M)`` and the ``(B, 3)`` class probabilities.
+    """
+    n_steps = _window_length(windows)
+    slots, distinct = {}, []
+    index = np.empty((len(windows), n_steps), dtype=np.intp)
+    for b, xs in enumerate(windows):
+        for t, x in enumerate(xs):
+            if id(x) not in slots:
+                slots[id(x)] = len(distinct)
+                distinct.append(x)
+            index[b, t] = slots[id(x)]
+    x, y = _project(model.input_layer, distinct)
+    hidden = np.zeros((n_steps + 1, len(windows), model.hidden_size))
+    # hidden[t + 1] first holds step t's projected inputs; the index is in
+    # range by construction, and mode="clip" lets take write in place
+    np.take(y, index.T, axis=0, out=hidden[1:], mode="clip")
+    for t in range(n_steps):
+        np.tanh(hidden[t] @ model.feedback.T + hidden[t + 1], out=hidden[t + 1])
+    logits = hidden[-1] @ model.head_weights.T + model.head_bias
+    probs = np.array([softmax(row) for row in logits])
+    return x, index, hidden, probs
+
+
+def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
+    """Run the cell over a window of input tensors; classify the final state."""
+    x, index, hidden, probs = _forward_windows(model, [xs])
+    return probs[0], SequenceCache(x=x[index[0]], hidden=hidden[:, 0], probs=probs[0])
 
 
 def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
@@ -306,8 +335,7 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
     for (xs, _), cache in zip(batch, caches):
         if len(cache.x) != len(xs):
             raise CacheMismatch("cache does not match this batch entry")
-    if len({len(xs) for xs, _ in batch}) > 1:
-        raise ShapeMismatch("every window of a batch needs the same number of steps")
+    _window_length([xs for xs, _ in batch])
     n = len(batch)
     hidden_dims = model.hidden_dims
     cores = model.cores
@@ -443,18 +471,17 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
 
 
 def evaluate(model: TTRNNModel, dataset):
-    """Mean loss, per-sample probabilities and predicted labels over a dataset."""
+    """Mean loss, per-sample probabilities and predicted labels over a dataset.
+
+    All windows run as one batch (see :func:`_forward_windows`), so they
+    need the same number of steps.
+    """
     if not dataset:
         raise EmptyDataset("empty dataset")
-    losses = []
-    probs_list = []
-    predicted = []
-    for xs, label in dataset:
-        probs, _ = forward_sequence(model, xs)
-        losses.append(cross_entropy_loss(probs, label))
-        probs_list.append(probs)
-        predicted.append(LABELS[int(np.argmax(probs))])
-    return float(np.mean(losses)), np.array(probs_list), predicted
+    _, _, _, probs = _forward_windows(model, [xs for xs, _ in dataset])
+    losses = [cross_entropy_loss(p, label) for p, (_, label) in zip(probs, dataset)]
+    predicted = [LABELS[int(np.argmax(p))] for p in probs]
+    return float(np.mean(losses)), probs, predicted
 
 
 # --- checkpoint file ---------------------------------------------------------
@@ -478,7 +505,10 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
-    """Read a :func:`save_model` checkpoint; a malformed file raises DataError."""
+    """Read a :func:`save_model` checkpoint.
+
+    A malformed file or a non-finite parameter value raises DataError.
+    """
     with open(path) as f:
         lines = f.read().strip("\n").split("\n")
     if lines[0] != CHECKPOINT_MAGIC:
@@ -516,4 +546,7 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
         head_weights=arrays["head_weights"],
         head_bias=arrays["head_bias"],
     )
+    for name, values in model.named_params():
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}: {name} has non-finite values")
     return model, meta

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LengthMismatch, ShapeError
+from .errors import ConfigError, DataError, LengthMismatch, ShapeError
 from .tensor import DenseTensor, check_shape, element_count, frobenius_norm
 
 
@@ -25,6 +25,10 @@ class RankMismatch(ShapeError):
 
 class InvalidRank(ShapeError):
     """Requested TT ranks are malformed."""
+
+
+class InvalidTolerance(ConfigError):
+    """The TT-SVD error budget is negative or not finite."""
 
 
 def check_ranks(ranks, n_modes: int) -> tuple[int, ...]:
@@ -183,6 +187,8 @@ def tt_svd(t: DenseTensor, max_ranks=None, tol: float | None = None) -> TTVector
         max_ranks = check_ranks(max_ranks, n_modes)
     budget = None
     if tol is not None:
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InvalidTolerance(f"tol must be finite and >= 0, got {tol}")
         budget = tol * frobenius_norm(t) / math.sqrt(max(n_modes - 1, 1))
 
     rem = np.array(t.data)
@@ -234,7 +240,7 @@ def dense_param_count(in_dims, out_dims) -> int:
 
 
 def _fmt_values(arr: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in arr.ravel(order="F"))
+    return " ".join(map(repr, arr.ravel(order="F").tolist()))
 
 
 def _parse_values(line: str, shape) -> np.ndarray:

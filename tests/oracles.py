@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from ttrnn.neural import (
+    LABELS,
     N_CLASSES,
     Gradients,
     TTLinearLayer,
@@ -175,6 +176,19 @@ def backward_per_sample(model: TTRNNModel, batch) -> Gradients:
         head_weights=d_head_w * scale,
         head_bias=d_head_b * scale,
     )
+
+
+def evaluate_per_window(model: TTRNNModel, dataset):
+    """Mean loss, probabilities and predicted labels, one window at a time."""
+    losses = []
+    probs_list = []
+    predicted = []
+    for xs, label in dataset:
+        probs, _ = forward_sequence(model, xs)
+        losses.append(cross_entropy_loss(probs, label))
+        probs_list.append(probs)
+        predicted.append(LABELS[int(np.argmax(probs))])
+    return float(np.mean(losses)), np.array(probs_list), predicted
 
 
 def rebuild_model(model: TTRNNModel, arrays) -> TTRNNModel:

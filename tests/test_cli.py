@@ -240,6 +240,19 @@ class TestBadInputExitCodes:
         assert code == 3
         assert_one_line_error(capsys, "data")
 
+    @pytest.mark.parametrize("field, row", [("core2", 7), ("feedback", 11), ("head_bias", 13)])
+    def test_non_finite_checkpoint_value(self, tmp_path, capsys, field, row):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        lines[row] = lines[row].replace("0.0", "nan", 1)
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(ckpt) in err and f"{field} has non-finite" in err
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -290,6 +303,17 @@ class TestBadInputExitCodes:
         code = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt")])
         assert code == 3
         assert_one_line_error(capsys, "data")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance(self, tmp_path, capsys, tol):
+        src = tmp_path / "tensor.txt"
+        src.write_text("tensor dims=2,2\n1.0 2.0 3.0 4.0\n")
+        code = main(
+            ["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt"), "--tol", tol]
+        )
+        assert code == 2
+        assert_one_line_error(capsys, "config")
+        assert not (tmp_path / "o.txt").exists()
 
     def test_malformed_max_ranks(self, tmp_path, capsys):
         src = tmp_path / "tensor.txt"

@@ -10,6 +10,7 @@ from oracles import (
     batch_loss,
     dense_cell_apply,
     dense_layer_apply,
+    evaluate_per_window,
     finite_difference_check,
     rebuild_model,
 )
@@ -28,6 +29,7 @@ from ttrnn.neural import (
     backward,
     class_index,
     cross_entropy_loss,
+    evaluate,
     forward_batch,
     forward_sequence,
     init_model,
@@ -306,9 +308,8 @@ class TestBackward:
             backward(model, batch, caches[:1])
 
 
-@st.composite
-def model_and_batch(draw):
-    """A random model of 1-4 modes with a batch of 1-5 windows of 1-4 steps."""
+def draw_model(draw):
+    """A random model of 1-4 modes, and the generator that drew its parameters."""
     n = draw(st.integers(1, 4))
     in_dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     hidden = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
@@ -321,7 +322,34 @@ def model_and_batch(draw):
         [c for _, c in model.named_params()[:-3]]
         + [rng.normal(size=model.hidden_size), model.head_weights, rng.normal(size=3)],
     )
+    return model, rng
+
+
+@st.composite
+def model_and_batch(draw):
+    """A random model with a batch of 1-5 windows of 1-4 steps."""
+    model, rng = draw_model(draw)
     return model, make_batch(rng, model, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+
+
+@st.composite
+def model_and_sliding_windows(draw):
+    """1-5 stride-1 windows of 1-4 steps over one random day sequence.
+
+    The windows either share the day tensors, as ``FeaturePanel.samples``
+    builds them, or each hold copies of them.
+    """
+    model, rng = draw_model(draw)
+    n, seq_len = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    days = [rand_input(rng, model.in_dims) for _ in range(n + seq_len - 1)]
+    copies = draw(st.booleans())
+    dataset = []
+    for start in range(n):
+        xs = days[start : start + seq_len]
+        if copies:
+            xs = [DenseTensor(x.shape, x.data.copy()) for x in xs]
+        dataset.append((xs, int(rng.choice([1, 0, -1]))))
+    return model, dataset
 
 
 def one_core_case():
@@ -357,6 +385,50 @@ class TestBatchedBackward:
         _, caches = forward_batch(model, batch)
         with pytest.raises(ShapeMismatch):
             backward(model, batch, caches)
+
+
+class TestEvaluate:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(model_and_sliding_windows())
+    def test_matches_per_window_oracle(self, case):
+        model, dataset = case
+        loss, probs, predicted = evaluate(model, dataset)
+        want_loss, want_probs, want_predicted = evaluate_per_window(model, dataset)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert probs.shape == want_probs.shape
+        assert np.all(np.abs(probs - want_probs) <= 1e-12 * want_probs)
+        assert predicted == want_predicted
+
+    def test_repeated_day_in_one_window(self):
+        rng = np.random.default_rng(71)
+        model = tiny_model()
+        x, y = rand_input(rng), rand_input(rng)
+        dataset = [([x, y, x], 1), ([y, x, x], -1)]
+        _, probs, _ = evaluate(model, dataset)
+        _, want_probs, _ = evaluate_per_window(model, dataset)
+        assert np.all(np.abs(probs - want_probs) <= 1e-12 * want_probs)
+
+    def test_empty_dataset(self):
+        with pytest.raises(EmptyDataset):
+            evaluate(tiny_model(), [])
+
+    def test_empty_window(self):
+        rng = np.random.default_rng(73)
+        model = tiny_model()
+        with pytest.raises(EmptySequence):
+            evaluate(model, make_batch(rng, model, 1, 2) + [([], 0)])
+
+    def test_ragged_windows_rejected(self):
+        rng = np.random.default_rng(79)
+        model = tiny_model()
+        with pytest.raises(ShapeMismatch):
+            evaluate(model, make_batch(rng, model, 1, 3) + make_batch(rng, model, 1, 2))
+
+    def test_wrong_input_shape(self):
+        rng = np.random.default_rng(83)
+        model = tiny_model()
+        with pytest.raises(ShapeMismatch):
+            evaluate(model, [([rand_input(rng), DenseTensor.zeros((2, 4))], 1)])
 
 
 class TestSGD:

@@ -8,6 +8,7 @@ from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
 from ttrnn.ttformat import (
     InvalidRank,
+    InvalidTolerance,
     LengthMismatch,
     RankMismatch,
     TTMatrix,
@@ -22,6 +23,7 @@ from ttrnn.ttformat import (
     parse_tt_vector,
     tt_param_count,
     tt_reconstruct,
+    _fmt_values,
     tt_svd,
 )
 
@@ -199,6 +201,12 @@ class TestTTSVD:
         with pytest.raises(InvalidRank):
             tt_svd(DenseTensor((), np.array([1.0])))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tolerance(self, tol):
+        t = DenseTensor.from_ndarray(np.random.default_rng(0).normal(size=(3, 3)))
+        with pytest.raises(InvalidTolerance):
+            tt_svd(t, tol=tol)
+
 
 class TestParamCount:
     def test_reference_configuration(self):
@@ -237,6 +245,12 @@ class TestParamCount:
 
 
 class TestSerialization:
+    def test_value_text_is_each_float_repr(self):
+        arr = np.array([[-0.0, 5e-324, 1e16], [float("nan"), float("inf"), -1.5]])
+        old = " ".join(repr(float(x)) for x in arr.ravel(order="F"))
+        assert _fmt_values(arr) == old
+        assert old == "-0.0 nan 5e-324 inf 1e+16 -1.5"
+
     def test_tt_vector_text_roundtrip(self):
         rng = np.random.default_rng(21)
         tt = tt_svd(DenseTensor.from_ndarray(rng.normal(size=(3, 4, 2))))
