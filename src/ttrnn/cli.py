@@ -204,11 +204,21 @@ def cmd_report_cores(args) -> int:
     labels = None
     manifest_path = args.manifest or os.path.join(os.path.dirname(args.log), "run_manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        dims = manifest.get("config", {}).get("in_dims")
-        if dims:
-            labels = interpret.mode_labels(int(x) for x in dims.split(","))
+        try:
+            with open(manifest_path) as f:
+                dims = json.load(f).get("config", {}).get("in_dims")
+            if dims:
+                labels = interpret.mode_labels(int(x) for x in dims.split(","))
+        except (AttributeError, ValueError):
+            raise DataError(
+                f"{manifest_path}: malformed run manifest (want JSON whose config.in_dims "
+                "is comma-separated integers)"
+            ) from None
+        if labels is not None and len(labels) != log.n_cores:
+            raise DataError(
+                f"{manifest_path}: in_dims has {len(labels)} modes, the log has "
+                f"{log.n_cores} cores"
+            )
     out_dir = args.out_dir or os.path.dirname(args.log) or "."
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "core_ranking.json")

@@ -4,9 +4,10 @@ Each instrument contributes 20 features per day: the log-difference of the
 close, rolling moments of the log-differences over 5/10/22-day windows,
 relative min-max position of the close over the same windows, the
 high-low-close position, the high-low spread, volume and open interest.
-Per day the 24 feature vectors stack into a (20, 6, 4) tensor
-(feature x component slot x asset class), reinterpreted without copying as
-a (2, 2, 5, 6, 4) tensor for the TT model.
+The transforms run along the last axis, so the whole panel is computed at
+once as 24 rows of daily series.  Per day the 24 feature vectors stack into
+a (20, 6, 4) tensor (feature x component slot x asset class), reinterpreted
+without copying as a (2, 2, 5, 6, 4) tensor for the TT model.
 
 All rolling quantities are trailing, so day-t features depend only on data
 up to day t; labels look exactly one day ahead.
@@ -34,8 +35,8 @@ N_FEATURES = 20
 WINDOWS = (5, 10, 22)
 WARMUP = max(WINDOWS)  # rolling stats of log-diffs need this many prior days
 LABEL_DEADZONE = 1e-4
-TENSOR_DIMS_3 = (N_FEATURES, N_SLOTS, len(ASSET_CLASSES))
 TENSOR_DIMS_5 = (2, 2, 5, N_SLOTS, len(ASSET_CLASSES))
+PANEL_SERIES = ("close", "high", "low", "volume", "open_interest")  # AssetPanel arrays, CSV order
 
 FEATURE_NAMES = (
     ["log_diff"]
@@ -106,7 +107,7 @@ class AssetPanel:
                     f"instrument {meta.symbol!r} out of canonical (class, slot) order"
                 )
         t = len(self.dates)
-        for name in ("close", "high", "low", "volume", "open_interest"):
+        for name in PANEL_SERIES:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, arr)
             if arr.shape != (t, N_INSTRUMENTS):
@@ -129,7 +130,9 @@ class AssetPanel:
         raise UnknownTarget(f"no instrument named {symbol!r}")
 
 
-# --- per-series feature transforms -------------------------------------------
+# --- feature transforms ------------------------------------------------------
+# Each transform works along the last axis (time), so one call covers a
+# single (T,) series or a stack of (N, T) series.
 
 
 def log_diff(prices) -> np.ndarray:
@@ -138,7 +141,7 @@ def log_diff(prices) -> np.ndarray:
     if np.any(p <= 0):
         raise NonPositivePrice("log_diff needs strictly positive prices")
     out = np.full(p.shape, np.nan)
-    out[1:] = np.log(p[1:]) - np.log(p[:-1])
+    out[..., 1:] = np.log(p[..., 1:]) - np.log(p[..., :-1])
     return out
 
 
@@ -150,49 +153,36 @@ def rolling_stats(values, window: int):
     and kurtosis 0.
     """
     v = np.asarray(values, dtype=np.float64)
-    if window > v.size:
-        raise WindowTooLarge(f"window {window} > series length {v.size}")
-    mean = np.full(v.shape, np.nan)
-    std = np.full(v.shape, np.nan)
-    skew = np.full(v.shape, np.nan)
-    kurt = np.full(v.shape, np.nan)
-    sw = sliding_window_view(v, window)
-    ok = ~np.isnan(sw).any(axis=1)
+    if window > v.shape[-1]:
+        raise WindowTooLarge(f"window {window} > series length {v.shape[-1]}")
+    sw = sliding_window_view(v, window, axis=-1)
+    ok = ~np.isnan(sw).any(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = sw.mean(axis=1)
-        dev = sw - m[:, None]
-        m2 = (dev**2).mean(axis=1)
-        m3 = (dev**3).mean(axis=1)
-        m4 = (dev**4).mean(axis=1)
+        m = sw.mean(axis=-1)
+        dev = sw - m[..., None]
+        m2 = (dev**2).mean(axis=-1)
+        m3 = (dev**3).mean(axis=-1)
+        m4 = (dev**4).mean(axis=-1)
         # a window of identical values can carry rounding noise of order
         # eps*|value|; treat variance at that level as exactly zero
-        scale = np.max(np.abs(sw), axis=1)
+        scale = np.max(np.abs(sw), axis=-1)
         degenerate = m2 <= (1e-12 * np.maximum(scale, 1e-300)) ** 2
         s = np.where(degenerate, 0.0, np.sqrt(m2))
         g1 = np.where(degenerate, 0.0, m3 / np.where(degenerate, 1.0, m2**1.5))
         g2 = np.where(degenerate, 0.0, m4 / np.where(degenerate, 1.0, m2**2))
-    tail = slice(window - 1, None)
-    mean[tail] = np.where(ok, m, np.nan)
-    std[tail] = np.where(ok, s, np.nan)
-    skew[tail] = np.where(ok, g1, np.nan)
-    kurt[tail] = np.where(ok, g2, np.nan)
-    return mean, std, skew, kurt
+    out = np.full((4,) + v.shape, np.nan)
+    out[..., window - 1 :] = np.where(ok, np.stack([m, s, g1, g2]), np.nan)
+    return tuple(out)
 
 
 def rel_minmax(prices, window: int) -> np.ndarray:
     """Position of the close within its trailing window range, in [0, 1]."""
     p = np.asarray(prices, dtype=np.float64)
-    if window > p.size:
-        raise WindowTooLarge(f"window {window} > series length {p.size}")
+    if window > p.shape[-1]:
+        raise WindowTooLarge(f"window {window} > series length {p.shape[-1]}")
+    sw = sliding_window_view(p, window, axis=-1)
     out = np.full(p.shape, np.nan)
-    sw = sliding_window_view(p, window)
-    lo = sw.min(axis=1)
-    hi = sw.max(axis=1)
-    span = hi - lo
-    flat = span == 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = (p[window - 1 :] - lo) / np.where(flat, 1.0, span)
-    out[window - 1 :] = np.where(flat, 0.5, val)
+    out[..., window - 1 :] = rel_hlc(p[..., window - 1 :], sw.max(axis=-1), sw.min(axis=-1))
     return out
 
 
@@ -216,18 +206,20 @@ def hl_spread(high, low) -> np.ndarray:
 
 
 def instrument_features(close, high, low, volume, open_interest) -> np.ndarray:
-    """The 20-column feature matrix for one instrument (NaN during warm-up)."""
+    """The 20 features on a new last axis (NaN during warm-up).
+
+    A (T,) series gives (T, 20); (N, T) rows give (N, T, 20).
+    """
     r = log_diff(close)
     cols = [r]
     for w in WINDOWS:
         cols.extend(rolling_stats(r, w))
-    for w in WINDOWS:
-        cols.append(rel_minmax(close, w))
+    cols.extend(rel_minmax(close, w) for w in WINDOWS)
     cols.append(rel_hlc(close, high, low))
     cols.append(hl_spread(high, low))
     cols.append(np.asarray(volume, dtype=np.float64))
     cols.append(np.asarray(open_interest, dtype=np.float64))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 # --- assembled feature panel --------------------------------------------------
@@ -272,12 +264,11 @@ class FeaturePanel:
     def n_days(self) -> int:
         return len(self.dates)
 
-    def z_tensor(self, t: int, normalized: bool = True) -> DenseTensor:
-        src = self.normalized if normalized else self.raw
-        return DenseTensor.from_ndarray(src[t])
+    def z_tensor(self, t: int) -> DenseTensor:
+        return DenseTensor.from_ndarray(self.normalized[t])
 
-    def x_tensor(self, t: int, normalized: bool = True) -> DenseTensor:
-        return reshape(self.z_tensor(t, normalized), TENSOR_DIMS_5)
+    def x_tensor(self, t: int) -> DenseTensor:
+        return reshape(self.z_tensor(t), TENSOR_DIMS_5)
 
     def samples(self, seq_len: int):
         """Sliding stride-1 windows, split train/test at the n_train boundary."""
@@ -327,20 +318,13 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
             f"panel has {t_total} days; need at least {WARMUP + 2}"
         )
 
-    per_inst = [
-        instrument_features(
-            panel.close[:, k],
-            panel.high[:, k],
-            panel.low[:, k],
-            panel.volume[:, k],
-            panel.open_interest[:, k],
-        )
-        for k in range(N_INSTRUMENTS)
-    ]
-    stacked = np.stack(per_inst, axis=2)  # (T, 20, 24)
-    # canonical columns are class-major: reshape to (class, slot), want (slot, class)
-    grid = stacked.reshape(t_total, N_FEATURES, len(ASSET_CLASSES), N_SLOTS)
-    grid = grid.transpose(0, 1, 3, 2)  # (T, 20, 6, 4)
+    # one contiguous time row per instrument: the windowed sums then add in
+    # the same order as for a single series
+    series = [np.ascontiguousarray(getattr(panel, name).T) for name in PANEL_SERIES]
+    per_inst = instrument_features(*series)  # (24, T, 20)
+    # canonical columns are class-major: (class, slot, T, 20) -> (T, 20, slot, class)
+    grid = per_inst.reshape(len(ASSET_CLASSES), N_SLOTS, t_total, N_FEATURES)
+    grid = grid.transpose(2, 3, 1, 0)
 
     days = slice(first, last + 1)
     raw = np.ascontiguousarray(grid[days])
@@ -380,6 +364,7 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
 # --- synthetic panel ----------------------------------------------------------
 
 SYNTH_PREFIXES = {"equities": "EQ", "currencies": "FX", "commodities": "CO", "fixed_income": "FI"}
+SYNTH_DAILY_VOL = 0.01
 
 
 def synth_symbols() -> list:
@@ -404,15 +389,12 @@ class SynthConfig:
     signal_strength: float = 0.0
     target: str = "FX6"
     driver: str = "EQ1"
-    daily_vol: float = 0.01
 
     def validate(self):
         if self.days < WARMUP + 10:
             raise ConfigError(f"days must be >= {WARMUP + 10}, got {self.days}")
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must be in [0, 1]")
-        if self.daily_vol <= 0:
-            raise ConfigError("daily_vol must be > 0")
         symbols = {m.symbol for m in synth_symbols()}
         if self.target not in symbols:
             raise ConfigError(f"unknown target {self.target!r}")
@@ -427,21 +409,18 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
     rng = stream_rng(seed, "synth")
     instruments = synth_symbols()
     t_total = config.days
-    vol = config.daily_vol
+    class_of = np.repeat(np.arange(len(ASSET_CLASSES)), N_SLOTS)  # per canonical column
 
     class_factor = rng.normal(0.0, 1.0, size=(t_total, len(ASSET_CLASSES)))
     idio = rng.normal(0.0, 1.0, size=(t_total, N_INSTRUMENTS))
-    rets = np.empty((t_total, N_INSTRUMENTS))
-    for k, meta in enumerate(instruments):
-        c = ASSET_CLASSES.index(meta.asset_class)
-        rets[:, k] = vol * (0.5 * class_factor[:, c] + math.sqrt(0.75) * idio[:, k])
+    rets = SYNTH_DAILY_VOL * (0.5 * class_factor[:, class_of] + math.sqrt(0.75) * idio)
 
     symbols = [m.symbol for m in instruments]
     driver_col = symbols.index(config.driver)
     target_col = symbols.index(config.target)
     s = config.signal_strength
-    magnitude = np.abs(rng.normal(0.0, vol, size=t_total))
-    noise = rng.normal(0.0, vol, size=t_total)
+    magnitude = np.abs(rng.normal(0.0, SYNTH_DAILY_VOL, size=t_total))
+    noise = rng.normal(0.0, SYNTH_DAILY_VOL, size=t_total)
     target_rets = np.empty(t_total)
     target_rets[0] = noise[0]
     target_rets[1:] = s * magnitude[1:] * np.sign(rets[:-1, driver_col]) + (1.0 - s) * noise[1:]
@@ -449,15 +428,14 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
 
     start_price = 100.0 * rng.uniform(0.5, 2.0, size=N_INSTRUMENTS)
     close = start_price * np.exp(np.cumsum(rets, axis=0))
-    up = np.abs(rng.normal(0.0, 0.5 * vol, size=(t_total, N_INSTRUMENTS)))
-    down = np.abs(rng.normal(0.0, 0.5 * vol, size=(t_total, N_INSTRUMENTS)))
+    up = np.abs(rng.normal(0.0, 0.5 * SYNTH_DAILY_VOL, size=(t_total, N_INSTRUMENTS)))
+    down = np.abs(rng.normal(0.0, 0.5 * SYNTH_DAILY_VOL, size=(t_total, N_INSTRUMENTS)))
     high = close * np.exp(up)
     low = close * np.exp(-down)
     volume = 1e5 * np.exp(rng.normal(0.0, 0.3, size=(t_total, N_INSTRUMENTS)))
     open_interest = np.zeros((t_total, N_INSTRUMENTS))
-    for k, meta in enumerate(instruments):
-        if meta.asset_class == "commodities":
-            open_interest[:, k] = 1e4 * np.exp(rng.normal(0.0, 0.2, size=t_total))
+    commodities = class_of == ASSET_CLASSES.index("commodities")
+    open_interest[:, commodities] = 1e4 * np.exp(rng.normal(0.0, 0.2, size=(N_SLOTS, t_total))).T
 
     start = datetime.date(2006, 5, 1)
     dates = [(start + datetime.timedelta(days=t)).isoformat() for t in range(t_total)]
@@ -474,7 +452,7 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
 
 # --- CSV interchange ----------------------------------------------------------
 
-PANEL_HEADER = ["date", "close", "high", "low", "volume", "open_interest"]
+PANEL_HEADER = ["date", *PANEL_SERIES]
 MANIFEST_HEADER = ["symbol", "asset_class", "class_slot", "path"]
 
 
@@ -482,6 +460,7 @@ def write_panel(panel: AssetPanel, out_dir) -> str:
     """One CSV per instrument plus a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.csv")
+    table = np.stack([getattr(panel, name) for name in PANEL_SERIES], axis=-1)  # (T, 24, 5)
     with open(manifest_path, "w", newline="") as mf:
         mw = csv.writer(mf)
         mw.writerow(MANIFEST_HEADER)
@@ -491,17 +470,10 @@ def write_panel(panel: AssetPanel, out_dir) -> str:
             with open(os.path.join(out_dir, fname), "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(PANEL_HEADER)
-                for t, date in enumerate(panel.dates):
-                    w.writerow(
-                        [
-                            date,
-                            repr(float(panel.close[t, k])),
-                            repr(float(panel.high[t, k])),
-                            repr(float(panel.low[t, k])),
-                            repr(float(panel.volume[t, k])),
-                            repr(float(panel.open_interest[t, k])),
-                        ]
-                    )
+                w.writerows(
+                    [date, *map(repr, values)]
+                    for date, values in zip(panel.dates, table[:, k].tolist())
+                )
     return manifest_path
 
 
@@ -512,6 +484,14 @@ def _csv_rows(f, path, header):
     if missing:
         raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
     return reader
+
+
+def _is_iso_date(text) -> bool:
+    """True for a zero-padded YYYY-MM-DD date, the form whose text order is day order."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except (TypeError, ValueError):
+        return False
 
 
 def load_panel(manifest_path) -> AssetPanel:
@@ -531,40 +511,37 @@ def load_panel(manifest_path) -> AssetPanel:
         )
     entries.sort(key=lambda e: column_index(e[0].asset_class, e[0].class_slot))
 
-    per_symbol = {}
+    per_instrument = []
     common = None
-    for meta, path in entries:
+    iso_dates = set()  # each distinct date string is checked once
+    for _, path in entries:
         rows = {}
         with open(path, newline="") as f:
             for row in _csv_rows(f, path, PANEL_HEADER):
                 date = row["date"]
+                if date not in iso_dates:
+                    if not _is_iso_date(date):
+                        raise DataError(f"{path}: date {date!r} is not a YYYY-MM-DD date")
+                    iso_dates.add(date)
                 if date in rows:
                     raise MisalignedDates(f"{path}: duplicate date {date}")
                 try:
-                    rows[date] = tuple(float(row[c]) for c in PANEL_HEADER[1:])
+                    rows[date] = tuple(float(row[name]) for name in PANEL_SERIES)
                 except (TypeError, ValueError):
                     raise DataError(f"{path}: non-numeric value on {date}") from None
-        per_symbol[meta.symbol] = rows
+                if not all(map(math.isfinite, rows[date])):
+                    raise DataError(f"{path}: non-finite value on {date}")
+        per_instrument.append(rows)
         common = set(rows) if common is None else common & set(rows)
     if not common:
         raise MisalignedDates("instrument files share no common dates")
     dates = sorted(common)
 
-    shape = (len(dates), N_INSTRUMENTS)
-    close, high = np.empty(shape), np.empty(shape)
-    low, volume, oi = np.empty(shape), np.empty(shape), np.empty(shape)
-    for k, (meta, _) in enumerate(entries):
-        rows = per_symbol[meta.symbol]
-        for t, date in enumerate(dates):
-            close[t, k], high[t, k], low[t, k], volume[t, k], oi[t, k] = rows[date]
+    table = np.array([[rows[d] for rows in per_instrument] for d in dates])  # (T, 24, 5)
     return AssetPanel(
         instruments=[meta for meta, _ in entries],
         dates=dates,
-        close=close,
-        high=high,
-        low=low,
-        volume=volume,
-        open_interest=oi,
+        **dict(zip(PANEL_SERIES, np.moveaxis(table, -1, 0))),
     )
 
 
@@ -573,10 +550,9 @@ def dump_features_csv(fp: FeaturePanel, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["date", "symbol"] + list(FEATURE_NAMES))
-        for t, date in enumerate(fp.dates):
-            for col, symbol in enumerate(fp.symbols):
-                slot, cls = col % N_SLOTS, col // N_SLOTS
-                w.writerow(
-                    [date, symbol]
-                    + [repr(float(v)) for v in fp.raw[t, :, slot, cls]]
-                )
+        # (T, 20, slot, class) -> (T, 24 canonical columns, 20)
+        per_inst = fp.raw.transpose(0, 3, 2, 1).reshape(fp.n_days, N_INSTRUMENTS, N_FEATURES)
+        for date, day in zip(fp.dates, per_inst.tolist()):
+            w.writerows(
+                [date, symbol, *map(repr, values)] for symbol, values in zip(fp.symbols, day)
+            )

@@ -274,6 +274,49 @@ class TestBadInputExitCodes:
         assert code == 3
         assert_one_line_error(capsys, "data")
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [(5, "inf"), (1, "nan"), (0, "2006-5-4")],
+        ids=["inf-open-interest", "nan-close", "unpadded-date"],
+    )
+    def test_bad_instrument_value(self, tmp_path, capsys, column, value):
+        manifest = write_panel(synth_panel(SynthConfig(days=50), 1), tmp_path / "data")
+        csv_path = tmp_path / "data" / "CO3.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(csv_path) in err and cells[0] in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"config": {"in_dims": ',
+            '{"config": {"in_dims": "2,x,2"}}',
+            '["config"]',
+            '{"config": {"in_dims": "2,2"}}',
+            '{"config": {"in_dims": "2,2,2,2"}}',
+        ],
+        ids=["not-json", "non-integer-dims", "not-an-object", "too-few-modes", "too-many-modes"],
+    )
+    def test_malformed_run_manifest(self, tmp_path, capsys, text):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n3,1,0.125\n")
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(text)
+        assert main(["report-cores", "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(manifest) in err
+        assert not (tmp_path / "core_ranking.json").exists()
+
     @pytest.mark.parametrize("option", [["--learning-rate", "nan"], ["--ranks", "0"]])
     def test_bad_setting(self, tmp_path, capsys, option):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + option)

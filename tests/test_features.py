@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import feature_vector_scalar
-from ttrnn.errors import ConfigError
+from ttrnn.errors import ConfigError, DataError
 from ttrnn.features import (
     ASSET_CLASSES,
     FEATURE_NAMES,
@@ -13,6 +13,7 @@ from ttrnn.features import (
     N_FEATURES,
     N_SLOTS,
     NonPositivePrice,
+    PANEL_HEADER,
     SynthConfig,
     UnknownTarget,
     WARMUP,
@@ -128,6 +129,39 @@ class TestDailyRangeFeatures:
             spread = hl_spread(panel.high[:, col], panel.low[:, col])
             assert np.all((pos >= 0.0) & (pos <= 1.0))
             assert np.all(spread >= 0.0)
+
+
+class TestPanelWideTransforms:
+    """Each row of an (N, T) input gets exactly what it gets as a (T,) series."""
+
+    def test_instrument_features_rows(self):
+        panel = small_panel(days=70, seed=37)
+        rows = [np.ascontiguousarray(getattr(panel, name).T) for name in PANEL_HEADER[1:]]
+        got = instrument_features(*rows)
+        assert got.shape == (24, 70, N_FEATURES)
+        for k in range(24):
+            want = instrument_features(*(r[k] for r in rows))
+            assert np.array_equal(got[k], want, equal_nan=True), f"instrument {k}"
+
+    def test_transforms_on_two_rows(self):
+        rng = np.random.default_rng(41)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, size=(2, 40)), axis=1))
+        prices[1, 10:17] = prices[1, 10]  # flat stretch: degenerate moments and range
+        r = log_diff(prices)
+        assert np.array_equal(r, [log_diff(p) for p in prices], equal_nan=True)
+        for w in (5, 10, 22):
+            both = rolling_stats(r, w)
+            for k in range(2):
+                for got, want in zip(both, rolling_stats(r[k], w)):
+                    assert np.array_equal(got[k], want, equal_nan=True)
+            want = [rel_minmax(p, w) for p in prices]
+            assert np.array_equal(rel_minmax(prices, w), want, equal_nan=True)
+
+    def test_window_measured_along_last_axis(self):
+        with pytest.raises(WindowTooLarge):
+            rolling_stats(np.ones((3, 4)), 5)
+        with pytest.raises(WindowTooLarge):
+            rel_minmax(np.ones((3, 4)), 5)
 
 
 class TestMovementLabel:
@@ -334,6 +368,31 @@ class TestPanelCSV:
         lines = (tmp_path / "manifest.csv").read_text().splitlines()
         (tmp_path / "manifest.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(MisalignedDates):
+            load_panel(manifest)
+
+    @staticmethod
+    def set_cell(path, row, column, value):
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[PANEL_HEADER.index(column)] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return cells[0]
+
+    @pytest.mark.parametrize(
+        "column, value", [("close", "nan"), ("volume", "-inf"), ("open_interest", "inf")]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, column, value):
+        manifest = write_panel(small_panel(days=40, seed=43), tmp_path)
+        date = self.set_cell(tmp_path / "CO2.csv", 5, column, value)
+        with pytest.raises(DataError, match=rf"CO2\.csv: non-finite value on {date}$"):
+            load_panel(manifest)
+
+    @pytest.mark.parametrize("spelling", ["2006-5-2", "20060502", "2006-02-30", "02/05/2006"])
+    def test_non_iso_date_rejected(self, tmp_path, spelling):
+        manifest = write_panel(small_panel(days=40, seed=47), tmp_path)
+        self.set_cell(tmp_path / "EQ2.csv", 2, "date", spelling)
+        with pytest.raises(DataError, match=rf"EQ2\.csv: date '{spelling}' is not"):
             load_panel(manifest)
 
     def test_feature_dump(self, tmp_path):
