@@ -203,6 +203,8 @@ def cmd_report_cores(args) -> int:
     log = interpret.read_core_change_csv(args.log)
     labels = None
     manifest_path = args.manifest or os.path.join(os.path.dirname(args.log), "run_manifest.json")
+    if args.manifest and not os.path.isfile(manifest_path):
+        raise DataError(f"{manifest_path}: no such run manifest")
     if os.path.exists(manifest_path):
         try:
             with open(manifest_path) as f:
@@ -240,8 +242,11 @@ def cmd_decompose(args) -> int:
             raise ConfigError(
                 f"--max-ranks must be comma-separated integers, got {args.max_ranks!r}"
             ) from None
-    with open(args.input) as f:
-        lines = f.read().strip("\n").split("\n")
+    try:
+        with open(args.input) as f:
+            lines = f.read().strip("\n").split("\n")
+    except UnicodeDecodeError:
+        raise DataError(f"{args.input}: not UTF-8 text") from None
     head = lines[0].split()
     try:
         if head[0] != "tensor" or len(lines) < 2:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -478,12 +479,21 @@ def write_panel(panel: AssetPanel, out_dir) -> str:
 
 
 def _csv_rows(f, path, header):
-    """DictReader over an open CSV after checking that it has every column in header."""
-    reader = csv.DictReader(f)
-    missing = [c for c in header if c not in (reader.fieldnames or ())]
-    if missing:
-        raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-    return reader
+    """The header's columns, in header order, of each non-blank row of an open CSV.
+
+    Missing cells of a short row read None; text that is not UTF-8 raises DataError.
+    """
+    reader = csv.reader(f)
+    try:
+        names = next(reader, [])
+        missing = [c for c in header if c not in names]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        pick = operator.itemgetter(*map(names.index, header))
+        for row in filter(None, reader):
+            yield pick(row + [None] * (len(names) - len(row)))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _is_iso_date(text) -> bool:
@@ -500,9 +510,10 @@ def load_panel(manifest_path) -> AssetPanel:
     entries = []
     with open(manifest_path, newline="") as f:
         for row in _csv_rows(f, manifest_path, MANIFEST_HEADER):
+            symbol, asset_class, slot, rel_path = row
             try:
-                meta = InstrumentMeta(row["symbol"], row["asset_class"], int(row["class_slot"]))
-                entries.append((meta, os.path.join(base, row["path"])))
+                meta = InstrumentMeta(symbol, asset_class, int(slot))
+                entries.append((meta, os.path.join(base, rel_path)))
             except (TypeError, ValueError):
                 raise DataError(f"{manifest_path}: bad manifest row {row}") from None
     if len(entries) != N_INSTRUMENTS:
@@ -517,8 +528,7 @@ def load_panel(manifest_path) -> AssetPanel:
     for _, path in entries:
         rows = {}
         with open(path, newline="") as f:
-            for row in _csv_rows(f, path, PANEL_HEADER):
-                date = row["date"]
+            for date, *values in _csv_rows(f, path, PANEL_HEADER):
                 if date not in iso_dates:
                     if not _is_iso_date(date):
                         raise DataError(f"{path}: date {date!r} is not a YYYY-MM-DD date")
@@ -526,7 +536,7 @@ def load_panel(manifest_path) -> AssetPanel:
                 if date in rows:
                     raise MisalignedDates(f"{path}: duplicate date {date}")
                 try:
-                    rows[date] = tuple(float(row[name]) for name in PANEL_SERIES)
+                    rows[date] = tuple(map(float, values))
                 except (TypeError, ValueError):
                     raise DataError(f"{path}: non-numeric value on {date}") from None
                 if not all(map(math.isfinite, rows[date])):

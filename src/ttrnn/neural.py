@@ -1,14 +1,17 @@
 """Recurrent cell with a TT-format input weight matrix, trained by plain SGD.
 
-The input-to-hidden map is applied core by core, never materializing the
-dense weight matrix; the hidden-to-hidden feedback and the 3-class softmax
-head stay dense.  Gradients are the chain rule written out by hand, both
-through time and through the core contraction chain, so every TT core gets
-an analytic gradient that can be checked against finite differences.
+The input-to-hidden map is TT-stored, dense-applied: its parameters are the
+TT cores, and a layer contracts them once into the dense matrix it applies
+with one matrix product.  The hidden-to-hidden feedback and the 3-class
+softmax head are dense.  Gradients are the chain rule written out by hand:
+through time, then from the dense map's gradient onto each core between the
+chain products of the cores on its left and right, so every TT core gets an
+analytic gradient that can be checked against finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ from .ttformat import (
     _ints,
     _parse_values,
     format_tt_matrix,
+    mpo_to_matrix,
     parse_tt_matrix,
 )
 
@@ -79,6 +83,11 @@ class TTLinearLayer:
     @property
     def out_dims(self):
         return self.weights.out_dims
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The cores contracted to the dense ``(M, prod(in_dims))`` map, built once per layer."""
+        return mpo_to_matrix(self.weights).to_ndarray()
 
 
 @dataclass(frozen=True)
@@ -163,47 +172,11 @@ class TrainConfig:
         return self
 
 
-# --- TT linear map: forward chain and its hand-derived reverse sweep --------
-
-
-def _tt_apply(cores, x):
-    """Contract a batch of inputs ``(N, I_1, ..., I_d)`` against the cores.
-
-    The state after k cores is ``(N, R_k, I_{k+1}, ..., I_d, J_1, ..., J_k)``;
-    each step is one matrix product shared by the batch.  Returns the
-    ``(N, J_1, ..., J_d)`` output and every state, for the reverse sweep.
-    """
-    state = x[:, np.newaxis]
-    states = [state]
-    for core in cores:
-        mixed = np.tensordot(state, core, axes=([1, 2], [0, 1]))
-        state = np.moveaxis(mixed, -1, 1)
-        states.append(state)
-    return state[:, 0], states
-
-
-def _tt_core_grads(cores, x, dy):
-    """Reverse sweep of :func:`_tt_apply`: each core's gradient, summed over the batch.
-
-    ``dy`` is the ``(N, J_1, ..., J_d)`` gradient of the output.  The chain
-    states are recomputed from ``x`` rather than kept from the forward pass.
-    """
-    _, states = _tt_apply(cores, x)
-    d_state = dy[:, np.newaxis]
-    d_cores = [None] * len(cores)
-    for k in range(len(cores) - 1, -1, -1):
-        before = states[k]
-        d_mixed = np.moveaxis(d_state, 1, -1)
-        shared = [0] + list(range(3, before.ndim))
-        d_cores[k] = np.tensordot(before, d_mixed, axes=(shared, list(range(before.ndim - 2))))
-        if k:
-            d_before = np.tensordot(d_mixed, cores[k], axes=([-2, -1], [2, 3]))
-            d_state = np.moveaxis(d_before, (-2, -1), (1, 2))
-    return d_cores
+# --- TT linear map: dense apply, core gradients by projection ---------------
 
 
 def _project(layer: TTLinearLayer, xs):
-    """Stack input tensors to ``(N, *in_dims)`` and map them to TT(x) + bias rows.
+    """Stack input tensors to ``(N, *in_dims)`` and map them to W x + bias rows.
 
     The one input shape check; returns the stack and the ``(N, M)``
     fastest-first outputs.
@@ -212,8 +185,33 @@ def _project(layer: TTLinearLayer, xs):
         if x.shape != layer.in_dims:
             raise ShapeMismatch(f"input shape {x.shape} != in_dims {layer.in_dims}")
     x = np.stack([x.to_ndarray() for x in xs])
-    y, _ = _tt_apply(layer.weights.cores, x)
-    return x, y.reshape(len(x), -1, order="F") + layer.bias.data
+    return x, x.reshape(len(x), -1, order="F") @ layer.matrix.T + layer.bias.data
+
+
+def _core_grads(cores, dw):
+    """Project the dense map's gradient ``dW`` (M, prod(in_dims)) onto each core.
+
+    ``dW`` is refolded to the interleaved ``(I_1, J_1, ..., I_N, J_N)``
+    modes, first mode slowest.  Core k's gradient contracts it with the
+    chain product of the cores left of k, ``(I_1 J_1 ... I_{k-1} J_{k-1}, R_{k-1})``,
+    and of those right of k, ``(R_k, I_{k+1} J_{k+1} ... I_N J_N)``.
+    """
+    n = len(cores)
+    # in C order dW's fastest-first indexes read as axes (J_N, ..., J_1, I_N, ..., I_1)
+    dims = [c.shape[2] for c in cores[::-1]] + [c.shape[1] for c in cores[::-1]]
+    perm = [a for k in range(n) for a in (2 * n - 1 - k, n - 1 - k)]
+    d = np.ascontiguousarray(dw.reshape(dims).transpose(perm))
+    lefts = [np.ones((1, 1))]
+    for core in cores[:-1]:
+        lefts.append((lefts[-1] @ core.reshape(len(core), -1)).reshape(-1, core.shape[-1]))
+    right = np.ones((1, 1))
+    grads = []
+    for left, core in zip(lefts[::-1], cores[::-1]):
+        block = d.reshape(len(left), -1, right.shape[1])
+        g = np.tensordot(np.tensordot(left, block, axes=(0, 0)), right, axes=(2, 1))
+        grads.insert(0, g.reshape(core.shape))
+        right = (core.reshape(-1, core.shape[-1]) @ right).reshape(len(core), -1)
+    return grads
 
 
 def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
@@ -327,8 +325,9 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
 
     The windows are stacked and walked back step by step on ``(B, M)``
     matrices: each step's pre-activation gradient feeds the feedback matrix
-    (one matrix product), the bias, and the TT cores through that step's
-    input chain, recomputed for the whole batch.
+    (one matrix product) and is kept.  After the loop the kept ``(T, B, M)``
+    gradients give the bias (their sum) and the dense input map's gradient
+    (one matrix product with the inputs), which is projected onto the cores.
     """
     if len(batch) != len(caches):
         raise CacheMismatch(f"{len(batch)} samples but {len(caches)} caches")
@@ -337,30 +336,27 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
             raise CacheMismatch("cache does not match this batch entry")
     _window_length([xs for xs, _ in batch])
     n = len(batch)
-    hidden_dims = model.hidden_dims
-    cores = model.cores
-    x = np.stack([c.x for c in caches], axis=1)  # (T, B, *in_dims)
+    m = model.hidden_size
+    # (T, B, prod(in_dims)): each input flattened fastest-first, as the cells see it
+    x = np.stack([c.x.reshape(len(c.x), -1, order="F") for c in caches], axis=1)
     hidden = np.stack([c.hidden for c in caches], axis=1)  # (T + 1, B, M)
     d_logits = np.stack([c.probs for c in caches])
     d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
-    d_cores = [np.zeros_like(c) for c in cores]
+    d_pre = np.empty((len(x), n, m))
     d_feedback = np.zeros_like(model.feedback)
-    d_bias = np.zeros(model.hidden_size)
     dh = d_logits @ model.head_weights
     for t in range(len(x) - 1, -1, -1):
-        d_pre = dh * (1.0 - hidden[t + 1] * hidden[t + 1])
-        d_bias += d_pre.sum(axis=0)
-        d_feedback += d_pre.T @ hidden[t]
-        dy = d_pre.reshape((n,) + hidden_dims, order="F")
-        for acc, g in zip(d_cores, _tt_core_grads(cores, x[t], dy)):
-            acc += g
-        dh = d_pre @ model.feedback
+        np.multiply(dh, 1.0 - hidden[t + 1] * hidden[t + 1], out=d_pre[t])
+        d_feedback += d_pre[t].T @ hidden[t]
+        dh = d_pre[t] @ model.feedback
+    d_pre = d_pre.reshape(-1, m)
+    x = x.reshape(len(d_pre), -1)
 
     scale = 1.0 / n
     return Gradients(
-        cores=[g * scale for g in d_cores],
+        cores=[g * scale for g in _core_grads(model.cores, d_pre.T @ x)],
         feedback=d_feedback * scale,
-        bias=(d_bias * scale).reshape(hidden_dims, order="F"),
+        bias=(d_pre.sum(axis=0) * scale).reshape(model.hidden_dims, order="F"),
         head_weights=(d_logits.T @ hidden[-1]) * scale,
         head_bias=d_logits.sum(axis=0) * scale,
     )

@@ -317,6 +317,42 @@ class TestBadInputExitCodes:
         assert str(manifest) in err
         assert not (tmp_path / "core_ranking.json").exists()
 
+    def test_missing_explicit_manifest(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n")
+        # the default manifest next to the log is optional
+        assert main(["report-cores", "--log", str(log)]) == 0
+        assert "[data mode 1]" in capsys.readouterr().out
+        os.remove(tmp_path / "core_ranking.json")
+        missing = tmp_path / "nope.json"
+        assert main(["report-cores", "--log", str(log), "--manifest", str(missing)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(missing) in err
+        assert not (tmp_path / "core_ranking.json").exists()
+
+    @pytest.mark.parametrize("name", ["EQ3.csv", "manifest.csv"])
+    def test_non_utf8_panel_file(self, tmp_path, capsys, name):
+        manifest = write_panel(synth_panel(SynthConfig(days=50), 1), tmp_path / "data")
+        bad = tmp_path / "data" / name
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(bad) in err
+
+    def test_non_utf8_tensor_file(self, tmp_path, capsys):
+        src = tmp_path / "tensor.bin"
+        src.write_bytes(b"\x00\xff\xfe\x01")
+        code = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert str(src) in err
+
     @pytest.mark.parametrize("option", [["--learning-rate", "nan"], ["--ranks", "0"]])
     def test_bad_setting(self, tmp_path, capsys, option):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + option)

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _tt_apply_one,
+    _tt_core_grads_one,
     backward_per_sample,
     batch_loss,
     dense_cell_apply,
@@ -14,6 +16,7 @@ from oracles import (
     finite_difference_check,
     rebuild_model,
 )
+from ttrnn import neural
 from ttrnn.config import stream_rng
 from ttrnn.errors import ConfigError
 from ttrnn.neural import (
@@ -26,6 +29,8 @@ from ttrnn.neural import (
     TrainConfig,
     TTLinearLayer,
     TTRNNModel,
+    _core_grads,
+    _project,
     backward,
     class_index,
     cross_entropy_loss,
@@ -41,7 +46,7 @@ from ttrnn.neural import (
     ttrnn_cell_forward,
 )
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix, tt_param_count
+from ttrnn.ttformat import TTMatrix, mpo_to_matrix, tt_param_count
 
 
 def tiny_model(seed=7, in_dims=(2, 2, 2), hidden=(2, 2, 2), ranks=(1, 2, 2, 1)):
@@ -356,6 +361,84 @@ def one_core_case():
     rng = np.random.default_rng(61)
     model = init_model((4,), (3,), (1, 1), np.random.default_rng(62))
     return model, make_batch(rng, model, 2, 2, labels=[1, 0])
+
+
+@st.composite
+def model_inputs_and_output_grads(draw):
+    """A random model with 1-5 inputs and an output gradient for each."""
+    model, rng = draw_model(draw)
+    n = draw(st.integers(1, 5))
+    xs = [rand_input(rng, model.in_dims) for _ in range(n)]
+    return model, xs, rng.normal(size=(n, model.hidden_size))
+
+
+def rank_one_case():
+    rng = np.random.default_rng(89)
+    model = init_model((3, 2, 2), (2, 3, 2), (1, 1, 1, 1), rng)
+    xs = [rand_input(rng, model.in_dims) for _ in range(3)]
+    return model, xs, rng.normal(size=(3, model.hidden_size))
+
+
+def one_core_dense_case():
+    rng = np.random.default_rng(97)
+    model = init_model((4,), (3,), (1, 1), rng)
+    xs = [rand_input(rng, model.in_dims) for _ in range(2)]
+    return model, xs, rng.normal(size=(2, model.hidden_size))
+
+
+def assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want)) or 1.0
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+class TestDenseApply:
+    """The cached dense map and the core-gradient projection against the chain."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(model_inputs_and_output_grads())
+    @example(rank_one_case())
+    @example(one_core_dense_case())
+    def test_matches_chain_oracle(self, case):
+        model, xs, dy = case
+        layer, cores = model.input_layer, model.cores
+        _, got = _project(layer, xs)
+        dw = np.zeros_like(layer.matrix)
+        want_grads = [np.zeros_like(c) for c in cores]
+        for n, x in enumerate(xs):
+            y_nd, steps = _tt_apply_one(cores, x.to_ndarray())
+            assert_close(got[n], y_nd.ravel(order="F") + layer.bias.data)
+            dy_nd = dy[n].reshape(model.hidden_dims, order="F")
+            for acc, g in zip(want_grads, _tt_core_grads_one(cores, steps, dy_nd)):
+                acc += g
+            dw += np.outer(dy[n], x.data)
+        for g, w in zip(_core_grads(cores, dw), want_grads):
+            assert_close(g, w)
+
+    def test_matrix_built_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(weights):
+            calls.append(weights)
+            return mpo_to_matrix(weights)
+
+        monkeypatch.setattr(neural, "mpo_to_matrix", counting)
+        rng = np.random.default_rng(101)
+        model = tiny_model()
+        batch = make_batch(rng, model, 3, 4)
+        for _ in range(2):
+            forward_sequence(model, batch[0][0])
+            evaluate(model, batch)
+        assert len(calls) == 1
+
+        _, caches = forward_batch(model, batch)
+        stepped = sgd_step(model, backward(model, batch, caches), 0.5)
+        _, got = _project(stepped.input_layer, batch[0][0])
+        assert len(calls) == 2 and calls[-1] is stepped.input_layer.weights
+        for n, x in enumerate(batch[0][0]):
+            y_nd, _ = _tt_apply_one(stepped.cores, x.to_ndarray())
+            assert_close(got[n], y_nd.ravel(order="F") + stepped.input_layer.bias.data)
+        assert not np.allclose(stepped.input_layer.matrix, model.input_layer.matrix)
 
 
 class TestBatchedBackward:
