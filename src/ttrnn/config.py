@@ -118,15 +118,19 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
     values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 

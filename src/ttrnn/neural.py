@@ -11,6 +11,7 @@ analytic gradient that can be checked against finite differences.
 
 from __future__ import annotations
 
+import base64
 import functools
 import math
 from dataclasses import dataclass
@@ -19,10 +20,9 @@ import numpy as np
 
 from .config import config_ranks, stream_rng
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import DenseTensor
+from .tensor import DenseTensor, element_count
 from .ttformat import (
     TTMatrix,
-    _fmt_values,
     _ints,
     _parse_values,
     format_tt_matrix,
@@ -32,7 +32,7 @@ from .ttformat import (
 
 LABELS = (1, 0, -1)  # class indices 0, 1, 2
 N_CLASSES = 3
-CHECKPOINT_MAGIC = "ttrnn-model v1"
+CHECKPOINT_MAGIC = "ttrnn-model v2"
 
 
 class ShapeMismatch(ShapeError):
@@ -481,33 +481,66 @@ def evaluate(model: TTRNNModel, dataset):
 
 
 # --- checkpoint file ---------------------------------------------------------
+#
+# Header lines, then the TT core block in decimal (the readable part, which
+# the core-change report interprets), then one ``name <base64>`` line per
+# dense parameter: its little-endian float64 bytes, fastest-first.  A v1
+# checkpoint has the same layout with decimal dense lines.
+
+
+def _b64_values(arr: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F")).decode("ascii")
+
+
+def _parse_b64_values(text: str, shape) -> np.ndarray:
+    """Decode a :func:`_b64_values` line into an owned, writable float64 array."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # bad alphabet or padding, or a non-ASCII character
+        raise DataError("not valid base64") from None
+    want = 8 * element_count(shape)
+    if len(raw) != want:
+        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").astype(np.float64)
+
+
+# the dense-line decoder of each checkpoint version, keyed by its first line
+_DENSE_DECODERS = {CHECKPOINT_MAGIC: _parse_b64_values, "ttrnn-model v1": _parse_values}
 
 
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
-    """Write a text checkpoint: header, TT core block, dense parameter lines."""
+    """Write a checkpoint: header, decimal TT core block, base64 dense parameter lines."""
     lines = [
         CHECKPOINT_MAGIC,
         f"seed {seed}",
         f"epoch {epoch}",
         "hidden_dims " + ",".join(map(str, model.hidden_dims)),
         format_tt_matrix(model.input_layer.weights).rstrip("\n"),
-        "bias " + _fmt_values(model.input_layer.bias.data),
-        "feedback " + _fmt_values(model.feedback),
-        "head_weights " + _fmt_values(model.head_weights),
-        "head_bias " + _fmt_values(model.head_bias),
     ]
-    with open(path, "w") as f:
+    dense = [
+        ("bias", model.input_layer.bias.data),
+        ("feedback", model.feedback),
+        ("head_weights", model.head_weights),
+        ("head_bias", model.head_bias),
+    ]
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+        for name, values in dense:
+            f.write(f"{name} {_b64_values(values)}\n")
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
-    """Read a :func:`save_model` checkpoint.
+    """Read a :func:`save_model` checkpoint, or a v1 one with decimal dense lines.
 
     A malformed file or a non-finite parameter value raises DataError.
     """
-    with open(path) as f:
-        lines = f.read().strip("\n").split("\n")
-    if lines[0] != CHECKPOINT_MAGIC:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().strip("\n").split("\n")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    decode = _DENSE_DECODERS.get(lines[0])
+    if decode is None:
         raise DataError(f"{path}: not a model checkpoint: {lines[0]!r}")
     try:
         meta = {
@@ -530,7 +563,10 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     for line in lines[5 + n_modes :]:
         name, _, values = line.partition(" ")
         if name in shapes:
-            arrays[name] = _parse_values(values, shapes[name])
+            try:
+                arrays[name] = decode(values, shapes[name])
+            except DataError as exc:
+                raise DataError(f"{path}: {name}: {exc}") from None
     missing = [name for name in shapes if name not in arrays]
     if missing:
         raise DataError(f"{path}: checkpoint has no {', '.join(missing)} line")

@@ -127,22 +127,25 @@ class TTMatrix:
         return sum(c.size for c in self.cores)
 
 
-def _contract_chain(cores) -> DenseTensor:
-    """Chain contractions over the rank links, dropping the two boundary ranks."""
+def _contract_chain(cores) -> np.ndarray:
+    """Chain contractions over the rank links, dropping the two boundary ranks.
+
+    The result is a C-ordered ndarray with the cores' middle modes in chain order.
+    """
     t = cores[0]
     for core in cores[1:]:
         t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
-    return DenseTensor.from_ndarray(t.reshape(t.shape[1:-1]))
+    return t.reshape(t.shape[1:-1])
 
 
 def tt_reconstruct(v: TTVector) -> DenseTensor:
     """Assemble the full tensor by chaining contractions over the rank links."""
-    return _contract_chain(v.cores)
+    return DenseTensor.from_ndarray(_contract_chain(v.cores))
 
 
 def mpo_reconstruct(w: TTMatrix) -> DenseTensor:
     """Assemble the order-2N tensor with interleaved (in_1, out_1, ..., in_N, out_N) modes."""
-    return _contract_chain(w.cores)
+    return DenseTensor.from_ndarray(_contract_chain(w.cores))
 
 
 def mpo_to_matrix(w: TTMatrix) -> DenseTensor:
@@ -152,11 +155,11 @@ def mpo_to_matrix(w: TTMatrix) -> DenseTensor:
     flattened fastest-first, so ``y = W @ x_flat`` matches applying the
     cores to the tensorized input.
     """
-    nd = mpo_reconstruct(w).to_ndarray()
     n = len(w.cores)
-    perm = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
-    mat = nd.transpose(perm).reshape((w.n_out, w.n_in), order="F")
-    return DenseTensor.from_ndarray(mat)
+    # the fastest-first buffer of the (out_1, ..., out_N, in_1, ..., in_N)
+    # tensor is the C-order ravel of the chain's axes reversed within each group
+    perm = tuple(range(2 * n - 2, -1, -2)) + tuple(range(2 * n - 1, 0, -2))
+    return DenseTensor((w.n_out, w.n_in), _contract_chain(w.cores).transpose(perm).ravel())
 
 
 def _truncation_rank(s: np.ndarray, budget: float) -> int:

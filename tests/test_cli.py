@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -36,6 +37,15 @@ def write_zero_checkpoint(path):
         head_bias=np.zeros(3),
     )
     save_model(model, path)
+
+
+def b64_floats(text):
+    """The float64 values of a base64 checkpoint line, as a writable array."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def b64_text(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def assert_one_line_error(capsys, kind):
@@ -245,13 +255,62 @@ class TestBadInputExitCodes:
         ckpt = tmp_path / "model.txt"
         write_zero_checkpoint(ckpt)
         lines = ckpt.read_text().splitlines()
-        lines[row] = lines[row].replace("0.0", "nan", 1)
+        if field.startswith("core"):  # the decimal TT core block
+            lines[row] = lines[row].replace("0.0", "nan", 1)
+        else:  # a base64 dense line
+            values = b64_floats(lines[row].partition(" ")[2])
+            values[0] = np.nan
+            lines[row] = f"{field} {b64_text(values)}"
         ckpt.write_text("\n".join(lines) + "\n")
         code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert str(ckpt) in err and f"{field} has non-finite" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[:10] + "*" + text[11:],
+            lambda text: text[: len(text) // 2],
+            lambda text: b64_text(np.append(b64_floats(text), 1.0)),
+            lambda text: b64_text(b64_floats(text)[:-1]),
+        ],
+        ids=["bad-character", "truncated", "one-value-too-many", "one-value-too-few"],
+    )
+    def test_damaged_base64_line(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        name, _, text = lines[11].partition(" ")
+        assert name == "feedback"
+        lines[11] = f"{name} {damage(text)}"
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert f"{ckpt}: feedback: " in err
+
+    def test_non_utf8_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_bytes().split(b"\n")
+        ckpt.write_bytes(b"\n".join([lines[0], b"\xff"] + lines[2:]))
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: not UTF-8 text\n", err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs = 2\nseed = \xff\n")
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(cfg) in err
+        assert not (tmp_path / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize(
         "damage",

@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -677,3 +678,87 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(model.named_params(), back.named_params()):
             assert na == nb
             assert np.array_equal(a, b)
+
+    def test_v2_layout(self, tmp_path):
+        model = tiny_model(seed=21)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "ttrnn-model v2"
+        assert lines[4] == "ttmat in=2,2,2 out=2,2,2 ranks=1,2,2,1"
+        for line, core in zip(lines[5:8], model.cores):
+            assert [float(x) for x in line.split()] == core.ravel(order="F").tolist()
+        dense = [
+            ("bias", model.input_layer.bias.data),
+            ("feedback", model.feedback),
+            ("head_weights", model.head_weights),
+            ("head_bias", model.head_bias),
+        ]
+        for line, (name, values) in zip(lines[8:], dense, strict=True):
+            raw = np.asarray(values, dtype="<f8").tobytes(order="F")
+            assert line == f"{name} {base64.b64encode(raw).decode('ascii')}"
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    @example(None)
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, data):
+        model = tiny_model(seed=22)
+        arrays = []
+        for _, a in model.named_params():
+            if data is None:  # every edge value in every parameter
+                flat = [FLOAT_EDGES[k % len(FLOAT_EDGES)] for k in range(a.size)]
+            else:
+                values = st.floats(allow_nan=False, allow_infinity=False)
+                flat = data.draw(
+                    st.lists(values | st.sampled_from(FLOAT_EDGES), min_size=a.size, max_size=a.size)
+                )
+            arrays.append(np.array(flat, dtype=np.float64).reshape(a.shape))
+        model = rebuild_model(model, arrays)
+        path = tmp_path_factory.mktemp("ckpt") / "model.txt"
+        save_model(model, path)
+        back, _ = load_model(path)
+        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
+            assert na == nb and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), na
+            assert b.dtype == np.float64 and b.flags.writeable
+
+    def test_reads_v1(self, tmp_path):
+        model = tiny_model(seed=23)
+        path = tmp_path / "model.txt"
+        save_model_v1(model, path, seed=5, epoch=7)
+        back, meta = load_model(path)
+        assert meta == {"seed": 5, "epoch": 7}
+        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
+            assert na == nb
+            assert np.array_equal(a, b)
+
+
+# 0, -0, the smallest subnormal, a subnormal, the smallest normal and the largest finite values
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, -1.7976931348623155e308]
+
+
+def save_model_v1(model, path, seed=0, epoch=0):
+    """Write ``model`` in the v1 checkpoint layout: every value in decimal."""
+
+    def decimal(values):
+        return " ".join(map(repr, np.ravel(values, order="F").tolist()))
+
+    w = model.input_layer.weights
+    lines = [
+        "ttrnn-model v1",
+        f"seed {seed}",
+        f"epoch {epoch}",
+        "hidden_dims " + ",".join(map(str, model.hidden_dims)),
+        "ttmat in={} out={} ranks={}".format(
+            *(",".join(map(str, d)) for d in (w.in_dims, w.out_dims, w.ranks))
+        ),
+    ]
+    lines += [decimal(core) for core in w.cores]
+    lines += [
+        "bias " + decimal(model.input_layer.bias.data),
+        "feedback " + decimal(model.feedback),
+        "head_weights " + decimal(model.head_weights),
+        "head_bias " + decimal(model.head_bias),
+    ]
+    path.write_text("\n".join(lines) + "\n")

@@ -114,6 +114,20 @@ class TestMPO:
                 col = le_offset_1based((2, 2, 2), tuple(i + 1 for i in in_idx))
                 assert mat[row, col] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
+    def test_matrix_is_the_regrouped_reconstruction(self):
+        rng = np.random.default_rng(9)
+        cores = [
+            rng.normal(size=(1, 2, 3, 2)),
+            rng.normal(size=(2, 4, 1, 3)),
+            rng.normal(size=(3, 3, 2, 1)),
+        ]
+        w = TTMatrix(cores)
+        big = mpo_reconstruct(w).to_ndarray()  # (in_1, out_1, ..., in_3, out_3)
+        want = big.transpose(1, 3, 5, 0, 2, 4).reshape((6, 24), order="F")
+        mat = mpo_to_matrix(w).to_ndarray()
+        assert mat.flags.f_contiguous  # the layout the GEMMs and checkpoints see
+        assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
     def test_param_count_matches_stored_cores(self):
         rng = np.random.default_rng(12)
         cores = [
