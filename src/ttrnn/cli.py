@@ -25,8 +25,9 @@ import numpy as np
 from . import backtest as bt
 from . import features as feat
 from . import interpret, neural, tensor, ttformat
-from .config import RunConfig, build_config, parse_config_file, stream_rng
+from .config import RunConfig, build_config, parse_config_file
 from .errors import ConfigError, DataError, ShapeError
+from .rng import stream_rng
 
 EXIT_OK = 0
 EXIT_FAILURE = 1

@@ -1,26 +1,14 @@
-"""Run configuration: flat key=value files, override handling, seeded RNG streams."""
+"""Run configuration: flat key=value files and override handling."""
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import ConfigError
+from .features import TENSOR_DIMS_5
+from .rng import stream_rng  # re-exported: callers use it as config.stream_rng
 from .ttformat import InvalidRank, check_ranks
-
-
-def stream_rng(seed: int, name: str) -> np.random.Generator:
-    """Independent generator for a named consumer of the run seed.
-
-    Streams are keyed by (seed, crc32(name)) so adding a new consumer never
-    perturbs the draws of existing ones.
-    """
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
 def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
@@ -29,9 +17,6 @@ def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
         return check_ranks(ranks, n_modes)
     except InvalidRank as exc:
         raise ConfigError(f"bad ranks: {exc}") from None
-
-
-FEATURE_TENSOR_DIMS = (2, 2, 5, 6, 4)
 
 
 @dataclass
@@ -82,10 +67,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
-        if self.input_dims() != FEATURE_TENSOR_DIMS:
+        if self.input_dims() != TENSOR_DIMS_5:
             raise ConfigError(
                 f"in_dims {self.in_dims!r} does not match the feature tensor "
-                f"shape {FEATURE_TENSOR_DIMS}"
+                f"shape {TENSOR_DIMS_5}"
             )
         if len(self.hidden_tensor_dims()) != len(self.input_dims()):
             raise ConfigError("hidden_dims must have the same mode count as in_dims")

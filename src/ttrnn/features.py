@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import stream_rng
 from .errors import ConfigError, DataError, ShapeError
+from .rng import stream_rng
 from .tensor import DenseTensor, reshape
 
 ASSET_CLASSES = ("equities", "currencies", "commodities", "fixed_income")

@@ -1,12 +1,13 @@
 """Recurrent cell with a TT-format input weight matrix, trained by plain SGD.
 
 The input-to-hidden map is TT-stored, dense-applied: its parameters are the
-TT cores, and a layer contracts them once into the dense matrix it applies
-with one matrix product.  The hidden-to-hidden feedback and the 3-class
-softmax head are dense.  Gradients are the chain rule written out by hand:
-through time, then from the dense map's gradient onto each core between the
-chain products of the cores on its left and right, so every TT core gets an
-analytic gradient that can be checked against finite differences.
+TT cores, and a layer contracts them once into the dense matrix, which it
+applies to each distinct input tensor once.  The hidden-to-hidden feedback
+and the 3-class softmax head are dense.  Gradients are the chain rule
+written out by hand: through time, then from the dense map's gradient onto
+each core between the chain products of the cores on its left and right,
+so every TT core gets an analytic gradient that can be checked against
+finite differences.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_ranks, stream_rng
+from .config import config_ranks
 from .errors import ConfigError, DataError, ShapeError
+from .rng import stream_rng
 from .tensor import DenseTensor, element_count
 from .ttformat import (
     TTMatrix,
@@ -88,6 +90,16 @@ class TTLinearLayer:
     def matrix(self) -> np.ndarray:
         """The cores contracted to the dense ``(M, prod(in_dims))`` map, built once per layer."""
         return mpo_to_matrix(self.weights).to_ndarray()
+
+    @functools.cached_property
+    def projected(self) -> dict:
+        """Memo of :func:`_project`: ``id(x) -> (x, W x + bias)`` for each input seen.
+
+        An entry holds its input, so no other tensor can take that id while
+        the entry exists.  A layer lives for one SGD step or one loaded
+        model; the memo costs ``8 * M`` bytes per distinct input.
+        """
+        return {}
 
 
 @dataclass(frozen=True)
@@ -175,17 +187,24 @@ class TrainConfig:
 # --- TT linear map: dense apply, core gradients by projection ---------------
 
 
-def _project(layer: TTLinearLayer, xs):
-    """Stack input tensors to ``(N, *in_dims)`` and map them to W x + bias rows.
+def _project(layer: TTLinearLayer, xs, out=None) -> np.ndarray:
+    """The ``(N, M)`` fastest-first rows W x + bias of the input tensors.
 
-    The one input shape check; returns the stack and the ``(N, M)``
-    fastest-first outputs.
+    Inputs are told apart by identity, and each distinct one is multiplied
+    by the dense map once over the layer's lifetime: those not yet in
+    ``layer.projected`` get the one input shape check and one matrix product
+    together.  The rows are stacked into ``out`` if given.
     """
-    for x in xs:
+    memo = layer.projected
+    new = list({id(x): x for x in xs if id(x) not in memo}.values())
+    for x in new:
         if x.shape != layer.in_dims:
             raise ShapeMismatch(f"input shape {x.shape} != in_dims {layer.in_dims}")
-    x = np.stack([x.to_ndarray() for x in xs])
-    return x, x.reshape(len(x), -1, order="F") @ layer.matrix.T + layer.bias.data
+    if new:
+        stack = np.stack([x.to_ndarray() for x in new])
+        y = stack.reshape(len(new), -1, order="F") @ layer.matrix.T + layer.bias.data
+        memo.update((id(x), (x, row)) for x, row in zip(new, y))
+    return np.stack([memo[id(x)][1] for x in xs], out=out)
 
 
 def _core_grads(cores, dw):
@@ -216,7 +235,7 @@ def _core_grads(cores, dw):
 
 def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
     """Apply the TT-format linear map to an input tensor and add the bias."""
-    return DenseTensor(layer.out_dims, _project(layer, [x])[1][0])
+    return DenseTensor(layer.out_dims, _project(layer, [x])[0])
 
 
 def ttrnn_cell_forward(model: TTRNNModel, x_t: DenseTensor, h_prev: np.ndarray) -> np.ndarray:
@@ -226,7 +245,7 @@ def ttrnn_cell_forward(model: TTRNNModel, x_t: DenseTensor, h_prev: np.ndarray) 
         raise ShapeMismatch(
             f"hidden state must be ({model.hidden_size},), got {h_prev.shape}"
         )
-    return np.tanh(model.feedback @ h_prev + _project(model.input_layer, [x_t])[1][0])
+    return np.tanh(model.feedback @ h_prev + _project(model.input_layer, [x_t])[0])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -239,7 +258,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class SequenceCache:
     """One window's activations retained for the backward pass."""
 
-    x: np.ndarray  # (T, *in_dims) inputs
+    x: np.ndarray  # (T, prod(in_dims)) inputs, each flattened fastest-first
     hidden: np.ndarray  # (T + 1, M): h_0 .. h_T
     probs: np.ndarray
 
@@ -256,37 +275,30 @@ def _window_length(windows) -> int:
 def _forward_windows(model: TTRNNModel, windows):
     """Run the cell over B windows of T steps each and classify their final states.
 
-    Windows cut from one day sequence share its day tensors, so the inputs
-    are collected by identity and every distinct one is projected once; a
-    ``(B, T)`` index gathers each step's rows for the ``(B, M)`` recurrence.
-    Returns the distinct inputs ``(D, *in_dims)``, the index, the hidden
-    states ``(T + 1, B, M)`` and the ``(B, 3)`` class probabilities.
+    Windows cut from one day sequence share its day tensors, which
+    :func:`_project` projects once; the ``(B, M)`` recurrence starts from
+    h_0 = 0.  Returns the hidden states ``(T + 1, B, M)`` and the ``(B, 3)``
+    class probabilities.
     """
     n_steps = _window_length(windows)
-    slots, distinct = {}, []
-    index = np.empty((len(windows), n_steps), dtype=np.intp)
-    for b, xs in enumerate(windows):
-        for t, x in enumerate(xs):
-            if id(x) not in slots:
-                slots[id(x)] = len(distinct)
-                distinct.append(x)
-            index[b, t] = slots[id(x)]
-    x, y = _project(model.input_layer, distinct)
-    hidden = np.zeros((n_steps + 1, len(windows), model.hidden_size))
-    # hidden[t + 1] first holds step t's projected inputs; the index is in
-    # range by construction, and mode="clip" lets take write in place
-    np.take(y, index.T, axis=0, out=hidden[1:], mode="clip")
-    for t in range(n_steps):
+    m = model.hidden_size
+    hidden = np.zeros((n_steps + 1, len(windows), m))
+    # hidden[t + 1] first holds step t's projected inputs
+    steps = [xs[t] for t in range(n_steps) for xs in windows]
+    _project(model.input_layer, steps, out=hidden[1:].reshape(-1, m))
+    np.tanh(hidden[1], out=hidden[1])  # h_0 = 0 adds no feedback term
+    for t in range(1, n_steps):
         np.tanh(hidden[t] @ model.feedback.T + hidden[t + 1], out=hidden[t + 1])
     logits = hidden[-1] @ model.head_weights.T + model.head_bias
     probs = np.array([softmax(row) for row in logits])
-    return x, index, hidden, probs
+    return hidden, probs
 
 
 def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
     """Run the cell over a window of input tensors; classify the final state."""
-    x, index, hidden, probs = _forward_windows(model, [xs])
-    return probs[0], SequenceCache(x=x[index[0]], hidden=hidden[:, 0], probs=probs[0])
+    hidden, probs = _forward_windows(model, [xs])
+    x = np.stack([x_t.data for x_t in xs])
+    return probs[0], SequenceCache(x=x, hidden=hidden[:, 0], probs=probs[0])
 
 
 def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
@@ -324,10 +336,11 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
     """Backpropagation through time over a batch, mean reduction.
 
     The windows are stacked and walked back step by step on ``(B, M)``
-    matrices: each step's pre-activation gradient feeds the feedback matrix
-    (one matrix product) and is kept.  After the loop the kept ``(T, B, M)``
-    gradients give the bias (their sum) and the dense input map's gradient
-    (one matrix product with the inputs), which is projected onto the cores.
+    matrices, keeping each step's pre-activation gradient.  After the loop
+    the kept ``(T, B, M)`` gradients give the bias (their sum), the feedback
+    gradient (one matrix product with the states h_1 .. h_{T-1}; h_0 = 0
+    adds nothing) and the dense input map's gradient (one matrix product
+    with the inputs), which is projected onto the cores.
     """
     if len(batch) != len(caches):
         raise CacheMismatch(f"{len(batch)} samples but {len(caches)} caches")
@@ -337,18 +350,17 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
     _window_length([xs for xs, _ in batch])
     n = len(batch)
     m = model.hidden_size
-    # (T, B, prod(in_dims)): each input flattened fastest-first, as the cells see it
-    x = np.stack([c.x.reshape(len(c.x), -1, order="F") for c in caches], axis=1)
+    x = np.stack([c.x for c in caches], axis=1)  # (T, B, prod(in_dims))
     hidden = np.stack([c.hidden for c in caches], axis=1)  # (T + 1, B, M)
     d_logits = np.stack([c.probs for c in caches])
     d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
     d_pre = np.empty((len(x), n, m))
-    d_feedback = np.zeros_like(model.feedback)
     dh = d_logits @ model.head_weights
     for t in range(len(x) - 1, -1, -1):
         np.multiply(dh, 1.0 - hidden[t + 1] * hidden[t + 1], out=d_pre[t])
-        d_feedback += d_pre[t].T @ hidden[t]
-        dh = d_pre[t] @ model.feedback
+        if t:  # h_0 = 0: step 0 passes nothing further back
+            dh = d_pre[t] @ model.feedback
+    d_feedback = d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m)
     d_pre = d_pre.reshape(-1, m)
     x = x.reshape(len(d_pre), -1)
 
@@ -474,7 +486,7 @@ def evaluate(model: TTRNNModel, dataset):
     """
     if not dataset:
         raise EmptyDataset("empty dataset")
-    _, _, _, probs = _forward_windows(model, [xs for xs, _ in dataset])
+    _, probs = _forward_windows(model, [xs for xs, _ in dataset])
     losses = [cross_entropy_loss(p, label) for p, (_, label) in zip(probs, dataset)]
     predicted = [LABELS[int(np.argmax(p))] for p in probs]
     return float(np.mean(losses)), probs, predicted
@@ -492,11 +504,11 @@ def _b64_values(arr: np.ndarray) -> str:
     return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F")).decode("ascii")
 
 
-def _parse_b64_values(text: str, shape) -> np.ndarray:
+def _parse_b64_values(line: bytes, shape) -> np.ndarray:
     """Decode a :func:`_b64_values` line into an owned, writable float64 array."""
     try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # bad alphabet or padding, or a non-ASCII character
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:  # bad alphabet or padding, or a non-ASCII byte
         raise DataError("not valid base64") from None
     want = 8 * element_count(shape)
     if len(raw) != want:
@@ -504,8 +516,16 @@ def _parse_b64_values(text: str, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").astype(np.float64)
 
 
+def _parse_decimal_values(line: bytes, shape) -> np.ndarray:
+    """Decode a v1 dense line: decimal values in UTF-8 text."""
+    try:
+        return _parse_values(line.decode("utf-8"), shape)
+    except UnicodeDecodeError:
+        raise DataError("not UTF-8 text") from None
+
+
 # the dense-line decoder of each checkpoint version, keyed by its first line
-_DENSE_DECODERS = {CHECKPOINT_MAGIC: _parse_b64_values, "ttrnn-model v1": _parse_values}
+_DENSE_DECODERS = {CHECKPOINT_MAGIC: _parse_b64_values, "ttrnn-model v1": _parse_decimal_values}
 
 
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
@@ -532,26 +552,33 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
 def load_model(path) -> tuple[TTRNNModel, dict]:
     """Read a :func:`save_model` checkpoint, or a v1 one with decimal dense lines.
 
+    The file is read as bytes: the header and the TT core block are decoded
+    as UTF-8 text, and each dense line goes to its version's decoder as is.
     A malformed file or a non-finite parameter value raises DataError.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().strip("\n").split("\n")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
-    decode = _DENSE_DECODERS.get(lines[0])
+
+    def text(block) -> str:
+        try:
+            return b"\n".join(block).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n")
+    head = text(lines[:4]).split("\n")
+    decode = _DENSE_DECODERS.get(head[0])
     if decode is None:
-        raise DataError(f"{path}: not a model checkpoint: {lines[0]!r}")
+        raise DataError(f"{path}: not a model checkpoint: {head[0]!r}")
     try:
         meta = {
-            "seed": int(lines[1].split()[1]),
-            "epoch": int(lines[2].split()[1]),
+            "seed": int(head[1].split()[1]),
+            "epoch": int(head[2].split()[1]),
         }
-        hidden_dims = _ints(lines[3].split()[1])
+        hidden_dims = _ints(head[3].split()[1])
     except (IndexError, ValueError):
         raise DataError(f"{path}: malformed checkpoint header") from None
     n_modes = len(hidden_dims)
-    weights = parse_tt_matrix("\n".join(lines[4 : 5 + n_modes]))
+    weights = parse_tt_matrix(text(lines[4 : 5 + n_modes]))
     m = math.prod(hidden_dims)
     shapes = {
         "bias": (m,),
@@ -561,7 +588,8 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     }
     arrays = {}
     for line in lines[5 + n_modes :]:
-        name, _, values = line.partition(" ")
+        name, _, values = line.partition(b" ")
+        name = name.decode("utf-8", "replace")
         if name in shapes:
             try:
                 arrays[name] = decode(values, shapes[name])

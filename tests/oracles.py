@@ -5,6 +5,7 @@ formulas, separate from the library's vectorized paths, so agreement is
 meaningful.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -178,13 +179,26 @@ def backward_per_sample(model: TTRNNModel, batch) -> Gradients:
     )
 
 
+def with_fresh_layer(model: TTRNNModel) -> TTRNNModel:
+    """``model`` on a new input layer with the same weights and bias.
+
+    The new layer has projected nothing yet, so a forward pass through it
+    multiplies every input by the dense map and reuses no memoized row.
+    """
+    layer = model.input_layer
+    return dataclasses.replace(model, input_layer=TTLinearLayer(layer.weights, layer.bias))
+
+
 def evaluate_per_window(model: TTRNNModel, dataset):
-    """Mean loss, probabilities and predicted labels, one window at a time."""
+    """Mean loss, probabilities and predicted labels, one window at a time.
+
+    Each window runs on its own fresh input layer (:func:`with_fresh_layer`).
+    """
     losses = []
     probs_list = []
     predicted = []
     for xs, label in dataset:
-        probs, _ = forward_sequence(model, xs)
+        probs, _ = forward_sequence(with_fresh_layer(model), xs)
         losses.append(cross_entropy_loss(probs, label))
         probs_list.append(probs)
         predicted.append(LABELS[int(np.argmax(probs))])
@@ -206,9 +220,10 @@ def rebuild_model(model: TTRNNModel, arrays) -> TTRNNModel:
 
 
 def batch_loss(model: TTRNNModel, batch) -> float:
+    """Mean loss over the batch, each window on its own fresh input layer."""
     total = 0.0
     for xs, label in batch:
-        probs, _ = forward_sequence(model, xs)
+        probs, _ = forward_sequence(with_fresh_layer(model), xs)
         total += cross_entropy_loss(probs, label)
     return total / len(batch)
 

@@ -58,7 +58,8 @@ def read_tree(root):
     for dirpath, _, files in os.walk(root):
         for f in files:
             p = os.path.join(dirpath, f)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
     return out
 
 
@@ -210,7 +211,8 @@ class TestExitCodes:
     def test_data_error(self, tmp_path, capsys):
         panel = synth_panel(SynthConfig(days=50), 1)
         manifest = write_panel(panel, tmp_path / "data")
-        lines = open(manifest).read().splitlines()
+        with open(manifest) as f:
+            lines = f.read().splitlines()
         with open(manifest, "w") as f:
             f.write("\n".join(lines[:-2]) + "\n")  # drop instruments
         code = main(
@@ -301,6 +303,18 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: not UTF-8 text\n", err
+
+    def test_non_ascii_byte_in_base64_line(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_bytes().split(b"\n")
+        assert lines[11].startswith(b"feedback ")
+        lines[11] = lines[11][:20] + b"\xe9" + lines[11][21:]
+        ckpt.write_bytes(b"\n".join(lines))
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: feedback: not valid base64\n", err
 
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 import base64
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import (
     evaluate_per_window,
     finite_difference_check,
     rebuild_model,
+    with_fresh_layer,
 )
 from ttrnn import neural
 from ttrnn.config import stream_rng
@@ -403,7 +406,7 @@ class TestDenseApply:
     def test_matches_chain_oracle(self, case):
         model, xs, dy = case
         layer, cores = model.input_layer, model.cores
-        _, got = _project(layer, xs)
+        got = _project(layer, xs)
         dw = np.zeros_like(layer.matrix)
         want_grads = [np.zeros_like(c) for c in cores]
         for n, x in enumerate(xs):
@@ -434,12 +437,98 @@ class TestDenseApply:
 
         _, caches = forward_batch(model, batch)
         stepped = sgd_step(model, backward(model, batch, caches), 0.5)
-        _, got = _project(stepped.input_layer, batch[0][0])
+        got = _project(stepped.input_layer, batch[0][0])
         assert len(calls) == 2 and calls[-1] is stepped.input_layer.weights
         for n, x in enumerate(batch[0][0]):
             y_nd, _ = _tt_apply_one(stepped.cores, x.to_ndarray())
             assert_close(got[n], y_nd.ravel(order="F") + stepped.input_layer.bias.data)
         assert not np.allclose(stepped.input_layer.matrix, model.input_layer.matrix)
+
+
+def counting_matrix(layer):
+    """Seed ``layer.matrix`` with a view that records the input rows of each product with it."""
+    rows = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                rows.append(len(inputs[0]))
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    layer.__dict__["matrix"] = layer.matrix.view(Counting)
+    return rows
+
+
+class TestProjectionMemo:
+    """Each distinct input is multiplied by a layer's dense map once."""
+
+    def test_each_distinct_day_projected_once(self):
+        rng = np.random.default_rng(103)
+        model = tiny_model()
+        days = [rand_input(rng) for _ in range(8)]
+        dataset = [(days[start : start + 4], 1) for start in range(5)]
+        rows = counting_matrix(model.input_layer)
+        for xs, _ in dataset:
+            forward_sequence(model, xs)
+        evaluate(model, dataset)
+        forward_batch(model, dataset)
+        tt_linear_forward(model.input_layer, days[0])
+        ttrnn_cell_forward(model, days[-1], np.zeros(model.hidden_size))
+        assert sum(rows) == len(days)
+
+    def test_entry_keeps_its_tensor_alive(self):
+        rng = np.random.default_rng(107)
+        layer = tiny_model().input_layer
+        x = rand_input(rng)
+        ref = weakref.ref(x)
+        y = tt_linear_forward(layer, x)
+        del x
+        gc.collect()
+        x = ref()
+        assert x is not None
+        held, row = layer.projected[id(x)]
+        assert held is x and np.array_equal(row, y.data)
+
+    def test_new_layers_start_empty(self, tmp_path):
+        rng = np.random.default_rng(109)
+        model = tiny_model()
+        batch = make_batch(rng, model, 3, 2)
+        _, caches = forward_batch(model, batch)
+        assert len(model.input_layer.projected) == 6
+        stepped = sgd_step(model, backward(model, batch, caches), 0.1)
+        assert stepped.input_layer.projected == {}
+        save_model(model, tmp_path / "model.txt")
+        loaded, _ = load_model(tmp_path / "model.txt")
+        assert loaded.input_layer.projected == {}
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(model_and_sliding_windows(), st.data())
+    def test_any_order_matches_a_fresh_layer(self, case, data):
+        model, dataset = case
+        n = len(dataset)
+        warm = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        if warm:
+            evaluate(model, [dataset[i] for i in warm])
+        for i in data.draw(st.permutations(range(n))):
+            xs, _ = dataset[i]
+            probs, cache = forward_sequence(model, xs)
+            want_probs, want_cache = forward_sequence(with_fresh_layer(model), xs)
+            assert_close(probs, want_probs)
+            assert_close(cache.hidden, want_cache.hidden)
+            assert np.array_equal(cache.x, want_cache.x)
+
+
+def assert_grads_close(got, want):
+    blocks = [
+        (f"core{k}", g, w) for k, (g, w) in enumerate(zip(got.cores, want.cores))
+    ] + [
+        (name, getattr(got, name), getattr(want, name))
+        for name in ("feedback", "bias", "head_weights", "head_bias")
+    ]
+    for name, g, w in blocks:
+        assert g.shape == w.shape, name
+        scale = np.max(np.abs(w)) or 1.0
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
 
 class TestBatchedBackward:
@@ -449,18 +538,16 @@ class TestBatchedBackward:
     def test_matches_per_sample_oracle(self, case):
         model, batch = case
         _, caches = forward_batch(model, batch)
+        assert_grads_close(backward(model, batch, caches), backward_per_sample(model, batch))
+
+    def test_single_step_windows(self):
+        rng = np.random.default_rng(113)
+        model = tiny_model()
+        batch = make_batch(rng, model, 3, 1)
+        _, caches = forward_batch(model, batch)
         got = backward(model, batch, caches)
-        want = backward_per_sample(model, batch)
-        blocks = [
-            (f"core{k}", g, w) for k, (g, w) in enumerate(zip(got.cores, want.cores))
-        ] + [
-            (name, getattr(got, name), getattr(want, name))
-            for name in ("feedback", "bias", "head_weights", "head_bias")
-        ]
-        for name, g, w in blocks:
-            assert g.shape == w.shape, name
-            scale = np.max(np.abs(w)) or 1.0
-            assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
+        assert np.array_equal(got.feedback, np.zeros_like(model.feedback))
+        assert_grads_close(got, backward_per_sample(model, batch))
 
     def test_ragged_windows_rejected(self):
         rng = np.random.default_rng(67)
