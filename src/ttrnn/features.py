@@ -161,9 +161,11 @@ def rolling_stats(values, window: int):
     with np.errstate(invalid="ignore", divide="ignore"):
         m = sw.mean(axis=-1)
         dev = sw - m[..., None]
-        m2 = (dev**2).mean(axis=-1)
-        m3 = (dev**3).mean(axis=-1)
-        m4 = (dev**4).mean(axis=-1)
+        # products, not dev**3/dev**4: numpy sends those to libm pow
+        dev2 = dev * dev
+        m2 = dev2.mean(axis=-1)
+        m3 = (dev2 * dev).mean(axis=-1)
+        m4 = (dev2 * dev2).mean(axis=-1)
         # a window of identical values can carry rounding noise of order
         # eps*|value|; treat variance at that level as exactly zero
         scale = np.max(np.abs(sw), axis=-1)

@@ -302,3 +302,29 @@ def feature_vector_scalar(close, high, low, volume, open_interest, t) -> list:
     out.append(volume[t])
     out.append(open_interest[t])
     return out
+
+
+def rolling_stats_per_window(values, window: int):
+    """`features.rolling_stats` one window at a time, moments by `**` powers.
+
+    Each window is reduced as its own contiguous slice, so the mean and the
+    variance are summed in the order the vectorized path uses; the third
+    and fourth moments keep the plain `dev**3`/`dev**4` formulas.
+    """
+    v = np.asarray(values, dtype=np.float64)  # (N, T)
+    out = np.full((4,) + v.shape, np.nan)
+    for row in range(v.shape[0]):
+        for t in range(window - 1, v.shape[1]):
+            win = v[row, t - window + 1 : t + 1]
+            if np.isnan(win).any():
+                continue
+            mu = win.mean()
+            dev = win - mu
+            m2 = (dev**2).mean()
+            if m2 <= (1e-12 * max(np.abs(win).max(), 1e-300)) ** 2:
+                out[:, row, t] = mu, 0.0, 0.0, 0.0
+            else:
+                m3 = (dev**3).mean()
+                m4 = (dev**4).mean()
+                out[:, row, t] = mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2
+    return tuple(out)

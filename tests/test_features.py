@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import feature_vector_scalar
+from oracles import feature_vector_scalar, rolling_stats_per_window
 from ttrnn.errors import ConfigError, DataError
 from ttrnn.features import (
     ASSET_CLASSES,
@@ -17,6 +19,7 @@ from ttrnn.features import (
     SynthConfig,
     UnknownTarget,
     WARMUP,
+    WINDOWS,
     WindowTooLarge,
     AssetPanel,
     assemble,
@@ -36,6 +39,36 @@ from ttrnn.features import (
 
 def small_panel(days=80, strength=0.0, seed=0):
     return synth_panel(SynthConfig(days=days, signal_strength=strength), seed)
+
+
+def cut_panel(panel, cut):
+    """The panel's first ``cut`` days."""
+    return AssetPanel(
+        instruments=panel.instruments,
+        dates=panel.dates[:cut],
+        close=panel.close[:cut],
+        high=panel.high[:cut],
+        low=panel.low[:cut],
+        volume=panel.volume[:cut],
+        open_interest=panel.open_interest[:cut],
+    )
+
+
+@st.composite
+def moment_series(draw):
+    """(N, T) series with heavy tails, flat stretches, a NaN head, any scale."""
+    window = draw(st.sampled_from(WINDOWS + (2, 3)))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(window, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    df = draw(st.sampled_from([1.0, 2.0, 5.0, 1e9]))  # 1: Cauchy; 1e9: about normal
+    level = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e6]))
+    spread = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    x = level + spread * rng.standard_t(df, size=(n, t))
+    for row in range(n):  # a flat stretch (degenerate windows), then a NaN head
+        start = draw(st.integers(0, t - 1))
+        x[row, start : start + draw(st.integers(0, 2 * window))] = x[row, start]
+        x[row, : draw(st.integers(0, t // 2))] = np.nan
+    return x, window
 
 
 class TestLogDiff:
@@ -81,6 +114,17 @@ class TestRollingStats:
         mean, _, _, _ = rolling_stats(series, 3)
         assert math.isnan(mean[2])  # window still touches the NaN
         assert mean[3] == pytest.approx(2.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(moment_series())
+    def test_matches_per_window_oracle(self, case):
+        x, window = case
+        got = rolling_stats(x, window)
+        want = rolling_stats_per_window(x, window)
+        for name, g, w in zip(("mean", "std"), got[:2], want[:2]):
+            assert np.array_equal(g, w, equal_nan=True), name
+        for name, g, w in zip(("skew", "kurtosis"), got[2:], want[2:]):
+            assert np.allclose(g, w, rtol=1e-12, atol=1e-12, equal_nan=True), name
 
 
 class TestRelMinMax:
@@ -229,22 +273,16 @@ class TestAssemble:
             np.zeros((fp.n_train, N_SLOTS)),
         )
 
-    def test_no_lookahead_under_truncation(self):
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(WARMUP + 3, 90))
+    def test_no_lookahead_under_truncation(self, cut):
         panel = small_panel(days=90, seed=11)
-        cut = 60
-        truncated = AssetPanel(
-            instruments=panel.instruments,
-            dates=panel.dates[:cut],
-            close=panel.close[:cut],
-            high=panel.high[:cut],
-            low=panel.low[:cut],
-            volume=panel.volume[:cut],
-            open_interest=panel.open_interest[:cut],
-        )
         full = assemble(panel, "FX6", split=0.9)
-        part = assemble(truncated, "FX6", split=0.9)
+        part = assemble(cut_panel(panel, cut), "FX6", split=0.9)
         n = part.n_days
+        assert n == cut - WARMUP - 1
         assert np.array_equal(full.raw[:n], part.raw)
+        assert np.array_equal(full.labels[:n], part.labels)
 
     def test_tensor_views_share_buffer(self):
         fp = assemble(small_panel(), "FX6", split=0.9)
@@ -270,17 +308,7 @@ class TestAssemble:
             assemble(small_panel(), "NOPE", split=0.9)
 
     def test_insufficient_history(self):
-        panel = small_panel(days=80)
-        cut = WARMUP + 1
-        tiny = AssetPanel(
-            instruments=panel.instruments,
-            dates=panel.dates[:cut],
-            close=panel.close[:cut],
-            high=panel.high[:cut],
-            low=panel.low[:cut],
-            volume=panel.volume[:cut],
-            open_interest=panel.open_interest[:cut],
-        )
+        tiny = cut_panel(small_panel(days=80), WARMUP + 1)
         with pytest.raises(InsufficientHistory):
             assemble(tiny, "FX6", split=0.9)
 

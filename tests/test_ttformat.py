@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
@@ -179,6 +181,46 @@ class TestTTSVD:
         got = tt_reconstruct(tt)
         actual_err = math.sqrt(float(np.sum((got.data - t.data) ** 2)))
         assert actual_err == pytest.approx(expected_err, abs=1e-8)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_two_mode_error_is_eckart_young(self, data):
+        # a matrix with a known spectrum: the best rank-r error is the norm
+        # of the singular values past the r-th
+        m, n = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+        k = min(m, n)
+        s = np.sort(data.draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k)))[::-1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        t = DenseTensor.from_ndarray((u * s) @ v.T)
+        r = data.draw(st.integers(1, k - 1))
+        tt = tt_svd(t, max_ranks=(1, r, 1))
+        assert tt.ranks == (1, r, 1)
+        err = math.sqrt(float(np.sum((tt_reconstruct(tt).data - t.data) ** 2)))
+        assert err == pytest.approx(math.sqrt(float(np.sum(s[r:] ** 2))), rel=1e-10)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.data())
+    def test_error_within_unfolding_bound(self, data):
+        # Oseledets 2011, Thm 2.2: ||A - TT||_F <= sqrt(sum_k eps_k^2), where
+        # eps_k is the best rank-r_k error of the k-th unfolding of A itself
+        dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=3, max_size=4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        nd = rng.standard_normal(dims)
+        inner = [
+            data.draw(st.integers(1, min(math.prod(dims[:k]), math.prod(dims[k:]))))
+            for k in range(1, len(dims))
+        ]
+        tt = tt_svd(DenseTensor.from_ndarray(nd), max_ranks=(1, *inner, 1))
+        bound_sq = 0.0
+        for k in range(1, len(dims)):
+            unfolding = nd.reshape((math.prod(dims[:k]), -1), order="F")
+            s = np.linalg.svd(unfolding, compute_uv=False)
+            bound_sq += float(np.sum(s[tt.ranks[k]:] ** 2))
+        got = tt_reconstruct(tt).to_ndarray()
+        err = math.sqrt(float(np.sum((got - nd) ** 2)))
+        assert err <= math.sqrt(bound_sq) * (1 + 1e-10) + 1e-12 * np.linalg.norm(nd)
 
     def test_tolerance_mode_respects_budget(self):
         rng = np.random.default_rng(10)
