@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 shape error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -72,12 +71,8 @@ def _load_or_synth_panel(cfg: RunConfig) -> tuple[feat.AssetPanel, list]:
     """Panel plus the list of input files that determine it (for hashing)."""
     if cfg.data_manifest:
         panel = feat.load_panel(cfg.data_manifest)
-        base = os.path.dirname(os.path.abspath(cfg.data_manifest))
-        inputs = [cfg.data_manifest]
-        with open(cfg.data_manifest, newline="") as f:
-            for row in csv.DictReader(f):
-                inputs.append(os.path.join(base, row["path"]))
-        return panel, inputs
+        entries = feat.read_manifest(cfg.data_manifest)
+        return panel, [cfg.data_manifest] + [path for _, path in entries]
     synth_cfg = feat.SynthConfig(
         days=cfg.synth_days,
         signal_strength=cfg.signal_strength,

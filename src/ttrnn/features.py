@@ -506,8 +506,8 @@ def _is_iso_date(text) -> bool:
         return False
 
 
-def load_panel(manifest_path) -> AssetPanel:
-    """Read a manifest + instrument CSVs, aligning on the date intersection."""
+def read_manifest(manifest_path) -> list:
+    """The (instrument, file path) of each manifest row, in file order."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
     with open(manifest_path, newline="") as f:
@@ -518,6 +518,12 @@ def load_panel(manifest_path) -> AssetPanel:
                 entries.append((meta, os.path.join(base, rel_path)))
             except (TypeError, ValueError):
                 raise DataError(f"{manifest_path}: bad manifest row {row}") from None
+    return entries
+
+
+def load_panel(manifest_path) -> AssetPanel:
+    """Read a manifest + instrument CSVs, aligning on the date intersection."""
+    entries = read_manifest(manifest_path)
     if len(entries) != N_INSTRUMENTS:
         raise MisalignedDates(
             f"manifest lists {len(entries)} instruments, need {N_INSTRUMENTS}"

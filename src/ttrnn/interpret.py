@@ -9,7 +9,9 @@ model leaned on.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,21 +110,34 @@ def write_core_change_csv(log: CoreChangeLog, path):
 
 
 def read_core_change_csv(path) -> CoreChangeLog:
-    """Rebuild a log from the CSV; core shapes are not recoverable and left empty."""
-    rows = []
+    """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
     with open(path, newline="") as f:
+        reader = csv.DictReader(f)
         try:
-            for row in csv.DictReader(f):
-                rows.append((int(row["core"]), int(row["epoch"]), float(row["normalized_change"])))
+            rows = [
+                (reader.line_num, int(row["core"]), int(row["epoch"]),
+                 float(row["normalized_change"]))
+                for row in reader
+            ]
         except (KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: malformed core-change line {len(rows) + 2}") from None
-    if not rows:
+            raise DataError(f"{path}: malformed core-change line {reader.line_num}") from None
+    cells = {}
+    for line, core, epoch, value in rows:
+        if core < 1:
+            raise DataError(f"{path}: line {line}: core {core} is not >= 1")
+        if (core, epoch) in cells:
+            raise DataError(f"{path}: line {line}: duplicate row for core {core} epoch {epoch}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DataError(f"{path}: line {line}: change {value!r} is not finite and >= 0")
+        cells[core, epoch] = value
+    if not cells:
         raise DataError(f"no core-change rows in {path}")
-    cores = sorted({r[0] for r in rows})
-    epochs = sorted({r[1] for r in rows})
-    values = np.zeros((len(cores), len(epochs)))
-    for c, e, v in rows:
-        values[cores.index(c), epochs.index(e)] = v
+    cores = range(1, max(core for core, _ in cells) + 1)
+    epochs = sorted({epoch for _, epoch in cells})
+    missing = [cell for cell in itertools.product(cores, epochs) if cell not in cells]
+    if missing:
+        raise DataError(f"{path}: no row for core {missing[0][0]} epoch {missing[0][1]}")
+    values = np.array([[cells[c, e] for e in epochs] for c in cores])
     return CoreChangeLog(core_shapes=[() for _ in cores], epochs=epochs, values=values)
 
 

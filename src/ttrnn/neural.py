@@ -13,6 +13,7 @@ finite differences.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -117,18 +118,13 @@ class TTRNNModel:
     head_bias: np.ndarray
 
     def __post_init__(self):
-        m = self.hidden_size
-        object.__setattr__(self, "feedback", np.asarray(self.feedback, dtype=np.float64))
-        object.__setattr__(self, "head_weights", np.asarray(self.head_weights, dtype=np.float64))
-        object.__setattr__(self, "head_bias", np.asarray(self.head_bias, dtype=np.float64))
-        if self.feedback.shape != (m, m):
-            raise ShapeMismatch(f"feedback must be {(m, m)}, got {self.feedback.shape}")
-        if self.head_weights.shape != (N_CLASSES, m):
-            raise ShapeMismatch(
-                f"head weights must be {(N_CLASSES, m)}, got {self.head_weights.shape}"
-            )
-        if self.head_bias.shape != (N_CLASSES,):
-            raise ShapeMismatch(f"head bias must be ({N_CLASSES},)")
+        for field in dataclasses.fields(self)[1:]:  # the dense arrays beside input_layer
+            value = np.asarray(getattr(self, field.name), dtype=np.float64)
+            object.__setattr__(self, field.name, value)
+        params = dict(self.named_params())
+        for name, shape in dense_shapes(self.hidden_size).items():
+            if params[name].shape != shape:
+                raise ShapeMismatch(f"{name} must be {shape}, got {params[name].shape}")
 
     @property
     def in_dims(self):
@@ -147,18 +143,41 @@ class TTRNNModel:
         return self.input_layer.weights.cores
 
     def named_params(self):
-        """Fixed-order (name, array) pairs; bias exposed as its flat buffer."""
-        pairs = [(f"core{k}", c) for k, c in enumerate(self.cores)]
-        pairs += [
+        """Fixed-order (name, array) pairs; bias exposed as its flat buffer.
+
+        This is the one list of the parameters: gradients, SGD, checkpoints
+        and :meth:`from_params` are all keyed by these names.
+        """
+        return list(_named_cores(self.cores).items()) + [
             ("feedback", self.feedback),
             ("bias", self.input_layer.bias.data),
             ("head_weights", self.head_weights),
             ("head_bias", self.head_bias),
         ]
-        return pairs
+
+    @classmethod
+    def from_params(cls, params) -> TTRNNModel:
+        """The model whose :meth:`named_params` are ``params``, on a new input layer."""
+        n_cores = sum(name.startswith("core") for name in params)
+        weights = TTMatrix([params[f"core{k}"] for k in range(n_cores)])
+        return cls(
+            input_layer=TTLinearLayer(weights, DenseTensor(weights.out_dims, params["bias"])),
+            feedback=params["feedback"],
+            head_weights=params["head_weights"],
+            head_bias=params["head_bias"],
+        )
 
     def n_params(self) -> int:
         return sum(a.size for _, a in self.named_params())
+
+
+def _named_cores(cores) -> dict:
+    return {f"core{k}": c for k, c in enumerate(cores)}
+
+
+def dense_shapes(m: int) -> dict:
+    """The shape of each dense parameter at hidden size ``m``, in checkpoint line order."""
+    return dict(bias=(m,), feedback=(m, m), head_weights=(N_CLASSES, m), head_bias=(N_CLASSES,))
 
 
 @dataclass
@@ -308,17 +327,6 @@ def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
         return float(-np.log(probs[ci]))
 
 
-@dataclass
-class Gradients:
-    """Mean-over-batch loss gradients, shaped like the parameters."""
-
-    cores: list
-    feedback: np.ndarray
-    bias: np.ndarray  # hidden tensor shape
-    head_weights: np.ndarray
-    head_bias: np.ndarray
-
-
 def forward_batch(model: TTRNNModel, batch):
     """Forward every (inputs, label) pair; returns (mean loss, caches)."""
     if not batch:
@@ -332,9 +340,10 @@ def forward_batch(model: TTRNNModel, batch):
     return total / len(batch), caches
 
 
-def backward(model: TTRNNModel, batch, caches) -> Gradients:
+def backward(model: TTRNNModel, batch, caches) -> dict:
     """Backpropagation through time over a batch, mean reduction.
 
+    The gradients are keyed, ordered and shaped like ``model.named_params()``.
     The windows are stacked and walked back step by step on ``(B, M)``
     matrices, keeping each step's pre-activation gradient.  After the loop
     the kept ``(T, B, M)`` gradients give the bias (their sum), the feedback
@@ -364,36 +373,30 @@ def backward(model: TTRNNModel, batch, caches) -> Gradients:
     d_pre = d_pre.reshape(-1, m)
     x = x.reshape(len(d_pre), -1)
 
+    grads = _named_cores(_core_grads(model.cores, d_pre.T @ x))
+    grads.update(
+        feedback=d_feedback,
+        bias=d_pre.sum(axis=0),
+        head_weights=d_logits.T @ hidden[-1],
+        head_bias=d_logits.sum(axis=0),
+    )
     scale = 1.0 / n
-    return Gradients(
-        cores=[g * scale for g in _core_grads(model.cores, d_pre.T @ x)],
-        feedback=d_feedback * scale,
-        bias=(d_pre.sum(axis=0) * scale).reshape(model.hidden_dims, order="F"),
-        head_weights=(d_logits.T @ hidden[-1]) * scale,
-        head_bias=d_logits.sum(axis=0) * scale,
-    )
+    return {name: g * scale for name, g in grads.items()}
 
 
-def sgd_step(model: TTRNNModel, grads: Gradients, lr: float) -> TTRNNModel:
-    """Plain gradient descent update; returns a new model."""
-    if len(grads.cores) != len(model.cores):
-        raise ShapeMismatch("core gradient count mismatch")
-    for c, g in zip(model.cores, grads.cores):
-        if c.shape != g.shape:
-            raise ShapeMismatch(f"core grad shape {g.shape} != {c.shape}")
-    if grads.feedback.shape != model.feedback.shape:
-        raise ShapeMismatch("feedback grad shape mismatch")
-    new_cores = [c - lr * g for c, g in zip(model.cores, grads.cores)]
-    new_bias = DenseTensor(
-        model.hidden_dims,
-        model.input_layer.bias.data - lr * grads.bias.ravel(order="F"),
-    )
-    return TTRNNModel(
-        input_layer=TTLinearLayer(weights=TTMatrix(new_cores), bias=new_bias),
-        feedback=model.feedback - lr * grads.feedback,
-        head_weights=model.head_weights - lr * grads.head_weights,
-        head_bias=model.head_bias - lr * grads.head_bias,
-    )
+def sgd_step(model: TTRNNModel, grads: dict, lr: float) -> TTRNNModel:
+    """Plain gradient descent update; returns a new model.
+
+    Gradient names and shapes must equal the parameters', or ShapeMismatch is raised.
+    """
+    params = dict(model.named_params())
+    if grads.keys() != params.keys():
+        names = ", ".join(sorted(params.keys() ^ grads.keys()))
+        raise ShapeMismatch(f"gradient and parameter names differ at {names}")
+    for name, p in params.items():
+        if np.shape(grads[name]) != p.shape:
+            raise ShapeMismatch(f"{name}: gradient shape {np.shape(grads[name])} != {p.shape}")
+    return TTRNNModel.from_params({name: p - lr * grads[name] for name, p in params.items()})
 
 
 def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNModel:
@@ -418,15 +421,12 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
             rng.normal(0.0, std, size=(ranks[k], in_dims[k], hidden_dims[k], ranks[k + 1]))
         )
     m = math.prod(hidden_dims)
-    feedback = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, m))
-    head_weights = rng.normal(0.0, 1.0 / math.sqrt(m), size=(N_CLASSES, m))
-    layer = TTLinearLayer(weights=TTMatrix(cores), bias=DenseTensor.zeros(hidden_dims))
-    return TTRNNModel(
-        input_layer=layer,
-        feedback=feedback,
-        head_weights=head_weights,
-        head_bias=np.zeros(N_CLASSES),
-    )
+    params = _named_cores(cores)
+    params["feedback"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, m))
+    params["bias"] = np.zeros(m)
+    params["head_weights"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(N_CLASSES, m))
+    params["head_bias"] = np.zeros(N_CLASSES)
+    return TTRNNModel.from_params(params)
 
 
 @dataclass
@@ -537,16 +537,11 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
         "hidden_dims " + ",".join(map(str, model.hidden_dims)),
         format_tt_matrix(model.input_layer.weights).rstrip("\n"),
     ]
-    dense = [
-        ("bias", model.input_layer.bias.data),
-        ("feedback", model.feedback),
-        ("head_weights", model.head_weights),
-        ("head_bias", model.head_bias),
-    ]
+    params = dict(model.named_params())
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-        for name, values in dense:
-            f.write(f"{name} {_b64_values(values)}\n")
+        for name in dense_shapes(model.hidden_size):
+            f.write(f"{name} {_b64_values(params[name])}\n")
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
@@ -578,34 +573,27 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     except (IndexError, ValueError):
         raise DataError(f"{path}: malformed checkpoint header") from None
     n_modes = len(hidden_dims)
-    weights = parse_tt_matrix(text(lines[4 : 5 + n_modes]))
-    m = math.prod(hidden_dims)
-    shapes = {
-        "bias": (m,),
-        "feedback": (m, m),
-        "head_weights": (N_CLASSES, m),
-        "head_bias": (N_CLASSES,),
-    }
-    arrays = {}
+    block = text(lines[4 : 5 + n_modes])
+    try:
+        weights = parse_tt_matrix(block)
+    except (DataError, ShapeError) as exc:  # a damaged core block is bad data
+        raise DataError(f"{path}: {exc}") from None
+    if weights.out_dims != hidden_dims:
+        raise DataError(f"{path}: hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
+    shapes = dense_shapes(weights.n_out)
+    params = _named_cores(weights.cores)
     for line in lines[5 + n_modes :]:
         name, _, values = line.partition(b" ")
         name = name.decode("utf-8", "replace")
         if name in shapes:
             try:
-                arrays[name] = decode(values, shapes[name])
+                params[name] = decode(values, shapes[name])
             except DataError as exc:
                 raise DataError(f"{path}: {name}: {exc}") from None
-    missing = [name for name in shapes if name not in arrays]
+    missing = [name for name in shapes if name not in params]
     if missing:
         raise DataError(f"{path}: checkpoint has no {', '.join(missing)} line")
-    model = TTRNNModel(
-        input_layer=TTLinearLayer(
-            weights=weights, bias=DenseTensor(hidden_dims, arrays["bias"])
-        ),
-        feedback=arrays["feedback"],
-        head_weights=arrays["head_weights"],
-        head_bias=arrays["head_bias"],
-    )
+    model = TTRNNModel.from_params(params)
     for name, values in model.named_params():
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: {name} has non-finite values")

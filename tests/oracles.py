@@ -5,7 +5,6 @@ formulas, separate from the library's vectorized paths, so agreement is
 meaningful.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -13,8 +12,6 @@ import numpy as np
 
 from ttrnn.neural import (
     LABELS,
-    N_CLASSES,
-    Gradients,
     TTLinearLayer,
     TTRNNModel,
     class_index,
@@ -23,7 +20,6 @@ from ttrnn.neural import (
     softmax,
 )
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix
 
 
 def contract_bruteforce(a: DenseTensor, n: int, b: DenseTensor, m: int) -> np.ndarray:
@@ -133,21 +129,19 @@ def _tt_core_grads_one(cores, steps, dy_nd):
     return d_cores
 
 
-def backward_per_sample(model: TTRNNModel, batch) -> Gradients:
+def backward_per_sample(model: TTRNNModel, batch) -> dict:
     """Mean-over-batch BPTT gradients, one sample and one time step at a time.
 
     Each sample runs its own forward pass, keeping every step's core-chain
     states; its error then flows back step by step into rank-1 feedback
-    updates and a per-step reverse sweep through the cores.
+    updates and a per-step reverse sweep through the cores.  The gradients
+    are keyed like ``model.named_params()``.
     """
     m = model.hidden_size
     cores = model.cores
     bias = model.input_layer.bias.data
-    d_cores = [np.zeros_like(c) for c in cores]
-    d_feedback = np.zeros_like(model.feedback)
-    d_bias = np.zeros(m)
-    d_head_w = np.zeros_like(model.head_weights)
-    d_head_b = np.zeros(N_CLASSES)
+    grads = {name: np.zeros_like(p) for name, p in model.named_params()}
+    d_cores = list(grads.values())[: len(cores)]
     for xs, label in batch:
         hidden = [np.zeros(m)]
         tt_steps = []
@@ -157,36 +151,29 @@ def backward_per_sample(model: TTRNNModel, batch) -> Gradients:
             tt_steps.append(steps)
         d_logits = softmax(model.head_weights @ hidden[-1] + model.head_bias)
         d_logits[class_index(label)] -= 1.0
-        d_head_w += np.outer(d_logits, hidden[-1])
-        d_head_b += d_logits
+        grads["head_weights"] += np.outer(d_logits, hidden[-1])
+        grads["head_bias"] += d_logits
         dh = model.head_weights.T @ d_logits
         for t in range(len(xs) - 1, -1, -1):
             h_t = hidden[t + 1]
             d_pre = dh * (1.0 - h_t * h_t)
-            d_bias += d_pre
-            d_feedback += np.outer(d_pre, hidden[t])
+            grads["bias"] += d_pre
+            grads["feedback"] += np.outer(d_pre, hidden[t])
             dy_nd = d_pre.reshape(model.hidden_dims, order="F")
             for acc, g in zip(d_cores, _tt_core_grads_one(cores, tt_steps[t], dy_nd)):
                 acc += g
             dh = model.feedback.T @ d_pre
     scale = 1.0 / len(batch)
-    return Gradients(
-        cores=[g * scale for g in d_cores],
-        feedback=d_feedback * scale,
-        bias=(d_bias * scale).reshape(model.hidden_dims, order="F"),
-        head_weights=d_head_w * scale,
-        head_bias=d_head_b * scale,
-    )
+    return {name: g * scale for name, g in grads.items()}
 
 
 def with_fresh_layer(model: TTRNNModel) -> TTRNNModel:
-    """``model`` on a new input layer with the same weights and bias.
+    """``model`` rebuilt from its parameters, on a new input layer.
 
     The new layer has projected nothing yet, so a forward pass through it
     multiplies every input by the dense map and reuses no memoized row.
     """
-    layer = model.input_layer
-    return dataclasses.replace(model, input_layer=TTLinearLayer(layer.weights, layer.bias))
+    return TTRNNModel.from_params(dict(model.named_params()))
 
 
 def evaluate_per_window(model: TTRNNModel, dataset):
@@ -207,16 +194,8 @@ def evaluate_per_window(model: TTRNNModel, dataset):
 
 def rebuild_model(model: TTRNNModel, arrays) -> TTRNNModel:
     """Model from a flat list of parameter arrays, ordered like named_params()."""
-    n = len(model.cores)
-    return TTRNNModel(
-        input_layer=TTLinearLayer(
-            weights=TTMatrix(list(arrays[:n])),
-            bias=DenseTensor(model.hidden_dims, arrays[n + 1]),
-        ),
-        feedback=arrays[n],
-        head_weights=arrays[n + 2],
-        head_bias=arrays[n + 3],
-    )
+    names = [name for name, _ in model.named_params()]
+    return TTRNNModel.from_params(dict(zip(names, arrays, strict=True)))
 
 
 def batch_loss(model: TTRNNModel, batch) -> float:
@@ -235,36 +214,26 @@ def finite_difference_check(model: TTRNNModel, batch, grads, step=1e-5,
     Returns the worst relative error among entries whose analytic gradient
     exceeds ``grad_floor``; asserts it stays within ``rel_tol``.
     """
-    analytic = list(grads.cores) + [
-        grads.feedback,
-        grads.bias.ravel(order="F"),
-        grads.head_weights,
-        grads.head_bias,
-    ]
     worst = 0.0
-    base = [c.copy() for c in model.cores] + [
-        model.feedback.copy(),
-        model.input_layer.bias.data.copy(),
-        model.head_weights.copy(),
-        model.head_bias.copy(),
-    ]
-    for pi in range(len(base)):
-        flat = base[pi].ravel()
-        g = np.asarray(analytic[pi]).ravel()
+    base = {name: p.copy() for name, p in model.named_params()}
+    assert list(grads) == list(base)
+    for name, param in base.items():
+        flat = param.ravel()  # a view: the copies are contiguous
+        g = np.asarray(grads[name]).ravel()
         for i in range(flat.size):
             if abs(g[i]) <= grad_floor:
                 continue
             orig = flat[i]
             flat[i] = orig + step
-            up = batch_loss(rebuild_model(model, base), batch)
+            up = batch_loss(TTRNNModel.from_params(base), batch)
             flat[i] = orig - step
-            down = batch_loss(rebuild_model(model, base), batch)
+            down = batch_loss(TTRNNModel.from_params(base), batch)
             flat[i] = orig
             fd = (up - down) / (2.0 * step)
             rel = abs(g[i] - fd) / abs(g[i])
             worst = max(worst, rel)
             assert rel <= rel_tol, (
-                f"param block {pi} entry {i}: analytic {g[i]:.6e} vs "
+                f"{name} entry {i}: analytic {g[i]:.6e} vs "
                 f"finite-difference {fd:.6e} (rel {rel:.2e})"
             )
     return worst

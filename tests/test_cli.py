@@ -7,9 +7,9 @@ import pytest
 
 from ttrnn.cli import main
 from ttrnn.features import SynthConfig, synth_panel, write_panel
-from ttrnn.neural import TTLinearLayer, TTRNNModel, save_model
+from ttrnn.neural import TTRNNModel, save_model
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix, parse_tt_vector, tt_reconstruct
+from ttrnn.ttformat import parse_tt_vector, tt_reconstruct
 
 FAST = [
     "--synth-days", "60",
@@ -30,13 +30,14 @@ def write_zero_checkpoint(path):
         np.zeros((ranks[k], in_dims[k], hidden[k], ranks[k + 1]))
         for k in range(5)
     ]
-    model = TTRNNModel(
-        input_layer=TTLinearLayer(weights=TTMatrix(cores), bias=DenseTensor.zeros(hidden)),
+    params = {f"core{k}": core for k, core in enumerate(cores)}
+    params.update(
         feedback=np.zeros((32, 32)),
+        bias=np.zeros(32),
         head_weights=np.zeros((3, 32)),
         head_bias=np.zeros(3),
     )
-    save_model(model, path)
+    save_model(TTRNNModel.from_params(params), path)
 
 
 def b64_floats(text):
@@ -235,14 +236,57 @@ class TestBadInputExitCodes:
         assert_one_line_error(capsys, "data")
 
     @pytest.mark.parametrize(
+        "damage, where",
+        [
+            (lambda lines: lines[:4] + ["2,3,nan"] + lines[5:], "line 5: change nan"),
+            (lambda lines: lines[:2] + ["1,3,-0.25"] + lines[3:], "line 3: change -0.25"),
+            (lambda lines: lines[:3] + lines[4:], "no row for core 2 epoch 2"),
+            (lambda lines: lines + ["1,2,0.5"], "line 6: duplicate row for core 1 epoch 2"),
+        ],
+        ids=["nan", "negative", "missing-cell", "duplicate-row"],
+    )
+    def test_damaged_core_change_log(self, tmp_path, capsys, damage, where):
+        log = tmp_path / "core_change.csv"
+        lines = ["core,epoch,normalized_change", "1,2,0.5", "1,3,0.25", "2,2,0.125", "2,3,1.0"]
+        log.write_text("\n".join(damage(lines)) + "\n")
+        assert main(["report-cores", "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert f"{log}: {where}" in err
+        assert not (tmp_path / "core_ranking.json").exists()
+
+    @pytest.mark.parametrize(
+        "hidden_dims, message",
+        [
+            ("4,2,2,2,1", "hidden_dims (4, 2, 2, 2, 1) != core out dims (2, 2, 2, 2, 2)"),
+            ("2,2,2,2", "core data line count does not match dims"),
+        ],
+        ids=["other-dims", "other-mode-count"],
+    )
+    def test_header_disagrees_with_core_block(self, tmp_path, capsys, hidden_dims, message):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        assert lines[3] == "hidden_dims 2,2,2,2,2"
+        lines[3] = f"hidden_dims {hidden_dims}"
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
         "cut",
         [
             lambda lines: ["not-a-model v1"] + lines[1:],  # wrong first line
             lambda lines: lines[:7],  # inside the TT core block
             lambda lines: lines[:11],  # after the core block and bias
             lambda lines: lines[:-1] + [lines[-1] + " 0.0"],  # head_bias too long
+            # a first rank of 2, with as many core0 values as that needs
+            lambda lines: lines[:4] + [lines[4].replace("ranks=1,", "ranks=2,"),
+                                       lines[5] + " " + lines[5]] + lines[6:],
         ],
-        ids=["header", "inside-cores", "after-cores", "field-length"],
+        ids=["header", "inside-cores", "after-cores", "field-length", "boundary-rank"],
     )
     def test_damaged_checkpoint(self, tmp_path, capsys, cut):
         ckpt = tmp_path / "model.txt"

@@ -27,7 +27,6 @@ from ttrnn.neural import (
     CacheMismatch,
     EmptyDataset,
     EmptySequence,
-    Gradients,
     InvalidLabel,
     ShapeMismatch,
     TrainConfig,
@@ -289,8 +288,8 @@ class TestBackward:
         batch = make_batch(rng, confident, 3, 2, labels=[1, 1, 1])
         _, caches = forward_batch(confident, batch)
         grads = backward(confident, batch, caches)
-        assert np.max(np.abs(grads.head_bias)) < 1e-8
-        assert np.max(np.abs(grads.head_weights)) < 1e-8
+        assert np.max(np.abs(grads["head_bias"])) < 1e-8
+        assert np.max(np.abs(grads["head_weights"])) < 1e-8
 
     def test_duplicated_sample_under_mean_reduction(self):
         rng = np.random.default_rng(31)
@@ -304,9 +303,8 @@ class TestBackward:
         g2 = backward(model, double, c2)
         # the duplicate contributes twice before the 1/batch mean: sums double,
         # means coincide
-        for a, b in zip(g1.cores, g2.cores):
-            assert np.allclose(a, b, rtol=0, atol=1e-15)
-        assert np.allclose(g1.feedback, g2.feedback, rtol=0, atol=1e-15)
+        for name in [f"core{k}" for k in range(len(model.cores))] + ["feedback"]:
+            assert np.allclose(g1[name], g2[name], rtol=0, atol=1e-15)
 
     def test_cache_mismatch(self):
         rng = np.random.default_rng(37)
@@ -519,13 +517,9 @@ class TestProjectionMemo:
 
 
 def assert_grads_close(got, want):
-    blocks = [
-        (f"core{k}", g, w) for k, (g, w) in enumerate(zip(got.cores, want.cores))
-    ] + [
-        (name, getattr(got, name), getattr(want, name))
-        for name in ("feedback", "bias", "head_weights", "head_bias")
-    ]
-    for name, g, w in blocks:
+    assert list(got) == list(want)
+    for name, w in want.items():
+        g = got[name]
         assert g.shape == w.shape, name
         scale = np.max(np.abs(w)) or 1.0
         assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
@@ -546,7 +540,7 @@ class TestBatchedBackward:
         batch = make_batch(rng, model, 3, 1)
         _, caches = forward_batch(model, batch)
         got = backward(model, batch, caches)
-        assert np.array_equal(got.feedback, np.zeros_like(model.feedback))
+        assert np.array_equal(got["feedback"], np.zeros_like(model.feedback))
         assert_grads_close(got, backward_per_sample(model, batch))
 
     def test_ragged_windows_rejected(self):
@@ -602,6 +596,23 @@ class TestEvaluate:
             evaluate(model, [([rand_input(rng), DenseTensor.zeros((2, 4))], 1)])
 
 
+# a wrong gradient shape for each of tiny_model's parameters (ranks 1,2,2,1,
+# M = 8) that numpy would broadcast into the parameter
+WRONG_GRAD_SHAPES = {
+    "core0": (1, 2, 2, 1),
+    "core1": (1, 2, 2, 1),
+    "core2": (1, 2, 2, 1),
+    "feedback": (8,),
+    "bias": (1,),
+    "head_weights": (8,),
+    "head_bias": (),
+}
+
+
+def zero_grads(model):
+    return {name: np.zeros_like(p) for name, p in model.named_params()}
+
+
 class TestSGD:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(41)
@@ -615,14 +626,8 @@ class TestSGD:
 
     def test_update_rule_single_entry(self):
         model = tiny_model(seed=13)
-        grads = Gradients(
-            cores=[np.zeros_like(c) for c in model.cores],
-            feedback=np.zeros_like(model.feedback),
-            bias=np.zeros(model.hidden_dims),
-            head_weights=np.zeros_like(model.head_weights),
-            head_bias=np.zeros(3),
-        )
-        grads.head_bias[1] = 2.5
+        grads = zero_grads(model)
+        grads["head_bias"][1] = 2.5
         stepped = sgd_step(model, grads, 0.1)
         assert stepped.head_bias[1] == pytest.approx(model.head_bias[1] - 0.25, abs=0)
         assert np.array_equal(stepped.head_bias[[0, 2]], model.head_bias[[0, 2]])
@@ -639,15 +644,51 @@ class TestSGD:
 
     def test_shape_mismatch(self):
         model = tiny_model()
-        grads = Gradients(
-            cores=[np.zeros_like(c) for c in model.cores],
-            feedback=np.zeros((3, 3)),
-            bias=np.zeros(model.hidden_dims),
-            head_weights=np.zeros_like(model.head_weights),
-            head_bias=np.zeros(3),
-        )
+        grads = zero_grads(model)
+        grads["feedback"] = np.zeros((3, 3))
         with pytest.raises(ShapeMismatch):
             sgd_step(model, grads, 0.1)
+
+    @pytest.mark.parametrize("name", WRONG_GRAD_SHAPES)
+    def test_broadcastable_wrong_shape(self, name):
+        model = tiny_model()
+        grads = zero_grads(model)
+        assert list(grads) == list(WRONG_GRAD_SHAPES)  # every parameter has a case
+        grads[name] = np.ones(WRONG_GRAD_SHAPES[name])
+        param = dict(model.named_params())[name]
+        assert np.broadcast_shapes(grads[name].shape, param.shape) == param.shape
+        with pytest.raises(ShapeMismatch, match=f"^{name}: gradient shape"):
+            sgd_step(model, grads, 0.1)
+
+    @pytest.mark.parametrize("name", WRONG_GRAD_SHAPES)
+    def test_missing_gradient(self, name):
+        model = tiny_model()
+        grads = zero_grads(model)
+        del grads[name]
+        with pytest.raises(ShapeMismatch, match=f"differ at {name}$"):
+            sgd_step(model, grads, 0.1)
+
+    def test_extra_gradient(self):
+        model = tiny_model()
+        grads = zero_grads(model)
+        grads["core3"] = np.zeros((2, 2, 2, 1))
+        with pytest.raises(ShapeMismatch, match="differ at core3$"):
+            sgd_step(model, grads, 0.1)
+
+
+class TestFromParams:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(model_and_batch())
+    def test_inverts_named_params(self, case):
+        model, batch = case
+        forward_batch(model, batch)  # fill the memo
+        assert model.input_layer.projected
+        back = TTRNNModel.from_params(dict(model.named_params()))
+        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
+            assert na == nb and a.shape == b.shape and b.dtype == np.float64
+            assert a.tobytes() == b.tobytes(), na
+        assert back.input_layer is not model.input_layer
+        assert back.input_layer.projected == {}
 
 
 def separable_dataset(rng, model, n, seq_len):
