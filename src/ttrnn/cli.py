@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -43,28 +43,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _settings(args) -> dict:
+    """The run settings the ``--config`` file and the flags give, flags winning."""
+    values = parse_config_file(args.config) if args.config else {}
+    for field in fields(RunConfig):
+        if getattr(args, field.name, None) is not None:
+            values[field.name] = getattr(args, field.name)
+    return values
+
+
 def _config_from_args(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "data_manifest",
-            "synth_days",
-            "signal_strength",
-            "target",
-            "split",
-            "seq_len",
-            "epochs",
-            "batch_size",
-            "learning_rate",
-            "ranks",
-            "hidden_dims",
-            "out_dir",
-            "seed",
-        )
-        if hasattr(args, key)
-    }
-    return build_config(file_values, overrides)
+    return build_config(_settings(args))
 
 
 def _load_or_synth_panel(cfg: RunConfig) -> tuple[feat.AssetPanel, list]:
@@ -163,7 +152,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    cfg = _config_from_args(args)
+    settings = _settings(args)
+    cfg = build_config(settings)
     model, _meta = neural.load_model(args.checkpoint)
     panel, _ = _load_or_synth_panel(cfg)
     fp = feat.assemble(panel, cfg.target, cfg.split)
@@ -172,6 +162,15 @@ def cmd_backtest(args) -> int:
             f"checkpoint expects inputs {model.in_dims}, features provide "
             f"{feat.TENSOR_DIMS_5}"
         )
+    # the checkpoint fixes the model; a setting given for it must agree
+    for key, given, stored in (
+        ("hidden_dims", cfg.hidden_tensor_dims(), model.hidden_dims),
+        ("ranks", cfg.rank_tuple(), model.input_layer.weights.ranks),
+    ):
+        if key in settings and given != stored:
+            raise ConfigError(
+                f"{key} {given} disagrees with the checkpoint's {stored} ({args.checkpoint})"
+            )
     _, test_samples = fp.samples(cfg.seq_len)
     if not test_samples:
         raise feat.InsufficientHistory("no test windows after the split")

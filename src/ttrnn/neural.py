@@ -220,8 +220,7 @@ def _project(layer: TTLinearLayer, xs, out=None) -> np.ndarray:
         if x.shape != layer.in_dims:
             raise ShapeMismatch(f"input shape {x.shape} != in_dims {layer.in_dims}")
     if new:
-        stack = np.stack([x.to_ndarray() for x in new])
-        y = stack.reshape(len(new), -1, order="F") @ layer.matrix.T + layer.bias.data
+        y = np.stack([x.data for x in new]) @ layer.matrix.T + layer.bias.data
         memo.update((id(x), (x, row)) for x, row in zip(new, y))
     return np.stack([memo[id(x)][1] for x in xs], out=out)
 
@@ -273,17 +272,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-@dataclass
-class SequenceCache:
-    """One window's activations retained for the backward pass."""
-
-    x: np.ndarray  # (T, prod(in_dims)) inputs, each flattened fastest-first
-    hidden: np.ndarray  # (T + 1, M): h_0 .. h_T
-    probs: np.ndarray
-
-
 def _window_length(windows) -> int:
     """The common step count of a batch of windows; empty or ragged ones are rejected."""
+    if not windows:
+        raise EmptyDataset("need at least one window")
     if not all(windows):
         raise EmptySequence("need at least one time step")
     if len({len(xs) for xs in windows}) > 1:
@@ -313,11 +305,10 @@ def _forward_windows(model: TTRNNModel, windows):
     return hidden, probs
 
 
-def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, SequenceCache]:
-    """Run the cell over a window of input tensors; classify the final state."""
+def forward_sequence(model: TTRNNModel, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Run the cell over a window of inputs: class probabilities, hidden states h_0 .. h_T."""
     hidden, probs = _forward_windows(model, [xs])
-    x = np.stack([x_t.data for x_t in xs])
-    return probs[0], SequenceCache(x=x, hidden=hidden[:, 0], probs=probs[0])
+    return probs[0], hidden[:, 0]
 
 
 def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
@@ -328,50 +319,50 @@ def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
 
 
 def forward_batch(model: TTRNNModel, batch):
-    """Forward every (inputs, label) pair; returns (mean loss, caches)."""
-    if not batch:
-        raise EmptyDataset("empty batch")
-    caches = []
+    """Forward every (inputs, label) pair; returns (mean loss, (hidden, probs)).
+
+    ``(hidden, probs)`` is the batch cache that :func:`backward` reads, laid
+    out as :func:`_forward_windows` returns it.
+    """
+    n_steps = _window_length([xs for xs, _ in batch])
+    hidden = np.empty((n_steps + 1, len(batch), model.hidden_size))
+    probs = np.empty((len(batch), N_CLASSES))
     total = 0.0
-    for xs, label in batch:
-        probs, cache = forward_sequence(model, xs)
-        total += cross_entropy_loss(probs, label)
-        caches.append(cache)
-    return total / len(batch), caches
+    for b, (xs, label) in enumerate(batch):
+        probs[b], hidden[:, b] = forward_sequence(model, xs)
+        total += cross_entropy_loss(probs[b], label)
+    return total / len(batch), (hidden, probs)
 
 
-def backward(model: TTRNNModel, batch, caches) -> dict:
-    """Backpropagation through time over a batch, mean reduction.
+def backward(model: TTRNNModel, batch, cache) -> dict:
+    """Backpropagation through time over a batch and its forward_batch cache, mean reduction.
 
     The gradients are keyed, ordered and shaped like ``model.named_params()``.
-    The windows are stacked and walked back step by step on ``(B, M)``
-    matrices, keeping each step's pre-activation gradient.  After the loop
-    the kept ``(T, B, M)`` gradients give the bias (their sum), the feedback
-    gradient (one matrix product with the states h_1 .. h_{T-1}; h_0 = 0
-    adds nothing) and the dense input map's gradient (one matrix product
-    with the inputs), which is projected onto the cores.
+    The batch is walked back step by step on ``(B, M)`` matrices, keeping
+    each step's pre-activation gradient.  After the loop the kept
+    ``(T, B, M)`` gradients give the bias (their sum), the feedback gradient
+    (one matrix product with the states h_1 .. h_{T-1}; h_0 = 0 adds
+    nothing) and the dense input map's gradient (one matrix product with the
+    inputs), which is projected onto the cores.
     """
-    if len(batch) != len(caches):
-        raise CacheMismatch(f"{len(batch)} samples but {len(caches)} caches")
-    for (xs, _), cache in zip(batch, caches):
-        if len(cache.x) != len(xs):
-            raise CacheMismatch("cache does not match this batch entry")
-    _window_length([xs for xs, _ in batch])
+    hidden, probs = cache
+    n_steps = _window_length([xs for xs, _ in batch])
     n = len(batch)
+    if hidden.shape[:2] != (n_steps + 1, n):
+        raise CacheMismatch(f"cache shaped {hidden.shape} for {n} windows of {n_steps} steps")
     m = model.hidden_size
-    x = np.stack([c.x for c in caches], axis=1)  # (T, B, prod(in_dims))
-    hidden = np.stack([c.hidden for c in caches], axis=1)  # (T + 1, B, M)
-    d_logits = np.stack([c.probs for c in caches])
+    # (T * B, prod(in_dims)) fastest-first inputs, time-major as _forward_windows projects them
+    x = np.stack([xs[t].data for t in range(n_steps) for xs, _ in batch])
+    d_logits = probs.copy()
     d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
-    d_pre = np.empty((len(x), n, m))
+    d_pre = np.empty((n_steps, n, m))
     dh = d_logits @ model.head_weights
-    for t in range(len(x) - 1, -1, -1):
+    for t in range(n_steps - 1, -1, -1):
         np.multiply(dh, 1.0 - hidden[t + 1] * hidden[t + 1], out=d_pre[t])
         if t:  # h_0 = 0: step 0 passes nothing further back
             dh = d_pre[t] @ model.feedback
     d_feedback = d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m)
     d_pre = d_pre.reshape(-1, m)
-    x = x.reshape(len(d_pre), -1)
 
     grads = _named_cores(_core_grads(model.cores, d_pre.T @ x))
     grads.update(
@@ -461,14 +452,14 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            mean_loss, caches = forward_batch(model, batch)
+            mean_loss, cache = forward_batch(model, batch)
             if not math.isfinite(mean_loss):
                 raise ConfigError(
                     f"training diverged in epoch {epoch}: batch loss {mean_loss} "
                     f"at learning rate {config.learning_rate}"
                 )
             total += mean_loss * len(batch)
-            grads = backward(model, batch, caches)
+            grads = backward(model, batch, cache)
             model = sgd_step(model, grads, config.learning_rate)
         epoch_losses.append(total / n)
         snapshots.append([c.copy() for c in model.cores])
@@ -484,8 +475,6 @@ def evaluate(model: TTRNNModel, dataset):
     All windows run as one batch (see :func:`_forward_windows`), so they
     need the same number of steps.
     """
-    if not dataset:
-        raise EmptyDataset("empty dataset")
     _, probs = _forward_windows(model, [xs for xs, _ in dataset])
     losses = [cross_entropy_loss(p, label) for p, (_, label) in zip(probs, dataset)]
     predicted = [LABELS[int(np.argmax(p))] for p in probs]

@@ -130,8 +130,8 @@ def test_criterion_03_gradient_check():
         for label in (1, 0, -1):
             xs = [DenseTensor.from_ndarray(rng.normal(size=(2, 2, 2))) for _ in range(3)]
             batch.append((xs, label))
-        _, caches = forward_batch(model, batch)
-        grads = backward(model, batch, caches)
+        _, cache = forward_batch(model, batch)
+        grads = backward(model, batch, cache)
         worst = finite_difference_check(
             model, batch, grads, step=1e-5, rel_tol=1e-4, grad_floor=1e-8
         )

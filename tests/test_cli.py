@@ -148,6 +148,18 @@ class TestBacktestCommand:
         assert len(lines) > 1
 
 
+    def test_omitted_model_settings_come_from_the_checkpoint(self, tmp_path):
+        # the checkpoint is hidden 2^5, rank 2; RunConfig's defaults are 4^5, rank 6
+        ckpt = tmp_path / "zero.txt"
+        write_zero_checkpoint(ckpt)
+        out = tmp_path / "out"
+        code = main(
+            ["backtest", "--checkpoint", str(ckpt), "--out-dir", str(out), "--synth-days", "60"]
+        )
+        assert code == 0
+        assert (out / "backtest.json").exists()
+
+
 class TestZeroModelBacktest:
     def test_uniform_probabilities_give_flat_pnl(self, tmp_path, capsys):
         # a zero model predicts (1/3, 1/3, 1/3) every day: no position, no PnL
@@ -274,6 +286,33 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {ckpt}: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "config, option, message",
+        [
+            ("", ["--hidden-dims", "4,4,4,4,4"],
+             "hidden_dims (4, 4, 4, 4, 4) disagrees with the checkpoint's (2, 2, 2, 2, 2)"),
+            ("", ["--ranks", "6"],
+             "ranks (1, 6, 6, 6, 6, 1) disagrees with the checkpoint's (1, 2, 2, 2, 2, 1)"),
+            ("ranks = 6\n", [],
+             "ranks (1, 6, 6, 6, 6, 1) disagrees with the checkpoint's (1, 2, 2, 2, 2, 1)"),
+        ],
+        ids=["hidden-dims-flag", "ranks-flag", "ranks-in-config-file"],
+    )
+    def test_setting_disagrees_with_checkpoint(self, tmp_path, capsys, config, option, message):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        code = main(
+            ["backtest", "--checkpoint", str(ckpt), "--config", str(cfg), "--out-dir", str(out),
+             "--synth-days", "60"] + option
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message} ({ckpt})") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "cut",

@@ -16,6 +16,7 @@ from ttrnn.features import (
     N_SLOTS,
     NonPositivePrice,
     PANEL_HEADER,
+    PANEL_SERIES,
     SynthConfig,
     UnknownTarget,
     WARMUP,
@@ -52,6 +53,11 @@ def cut_panel(panel, cut):
         volume=panel.volume[:cut],
         open_interest=panel.open_interest[:cut],
     )
+
+
+def panel_series(panel):
+    """The panel's series as ``assemble`` passes them: one contiguous row per instrument."""
+    return [np.ascontiguousarray(getattr(panel, name).T) for name in PANEL_SERIES]
 
 
 @st.composite
@@ -283,6 +289,11 @@ class TestAssemble:
         assert n == cut - WARMUP - 1
         assert np.array_equal(full.raw[:n], part.raw)
         assert np.array_equal(full.labels[:n], part.labels)
+        # the trimmed days stop one short of the cut; untrimmed, the cut
+        # panel's last day stays, where a feature reading a day ahead differs
+        want = instrument_features(*panel_series(panel))[:, :cut]
+        got = instrument_features(*panel_series(cut_panel(panel, cut)))
+        assert np.array_equal(want, got, equal_nan=True)
 
     def test_tensor_views_share_buffer(self):
         fp = assemble(small_panel(), "FX6", split=0.9)

@@ -33,6 +33,7 @@ from ttrnn.neural import (
     TTLinearLayer,
     TTRNNModel,
     _core_grads,
+    _forward_windows,
     _project,
     backward,
     class_index,
@@ -208,8 +209,8 @@ class TestForwardSequence:
     def test_hidden_states_bounded(self):
         rng = np.random.default_rng(17)
         model = tiny_model(seed=10)
-        _, cache = forward_sequence(model, [rand_input(rng) for _ in range(6)])
-        for h in cache.hidden[1:]:
+        _, hidden = forward_sequence(model, [rand_input(rng) for _ in range(6)])
+        for h in hidden[1:]:
             assert np.all(np.abs(h) < 1.0)
 
     def test_empty_sequence(self):
@@ -253,8 +254,8 @@ class TestBackward:
         rng = np.random.default_rng(23)
         model = tiny_model(seed=5)
         batch = make_batch(rng, model, 2, 3, labels=[1, -1])
-        _, caches = forward_batch(model, batch)
-        grads = backward(model, batch, caches)
+        _, cache = forward_batch(model, batch)
+        grads = backward(model, batch, cache)
         worst = finite_difference_check(model, batch, grads, step=1e-5, rel_tol=1e-4)
         assert worst < 1e-4
 
@@ -266,8 +267,8 @@ class TestBackward:
             ([DenseTensor.from_ndarray(rng.normal(size=(4,))) for _ in range(2)], 1),
             ([DenseTensor.from_ndarray(rng.normal(size=(4,))) for _ in range(2)], 0),
         ]
-        _, caches = forward_batch(model, batch)
-        grads = backward(model, batch, caches)
+        _, cache = forward_batch(model, batch)
+        grads = backward(model, batch, cache)
         worst = finite_difference_check(model, batch, grads, step=1e-5, rel_tol=1e-4)
         assert worst < 1e-4
 
@@ -286,8 +287,8 @@ class TestBackward:
         )
         rng = np.random.default_rng(29)
         batch = make_batch(rng, confident, 3, 2, labels=[1, 1, 1])
-        _, caches = forward_batch(confident, batch)
-        grads = backward(confident, batch, caches)
+        _, cache = forward_batch(confident, batch)
+        grads = backward(confident, batch, cache)
         assert np.max(np.abs(grads["head_bias"])) < 1e-8
         assert np.max(np.abs(grads["head_weights"])) < 1e-8
 
@@ -310,9 +311,9 @@ class TestBackward:
         rng = np.random.default_rng(37)
         model = tiny_model()
         batch = make_batch(rng, model, 2, 3)
-        _, caches = forward_batch(model, batch)
+        _, cache = forward_batch(model, batch[:1])
         with pytest.raises(CacheMismatch):
-            backward(model, batch, caches[:1])
+            backward(model, batch, cache)
 
 
 def draw_model(draw):
@@ -433,8 +434,8 @@ class TestDenseApply:
             evaluate(model, batch)
         assert len(calls) == 1
 
-        _, caches = forward_batch(model, batch)
-        stepped = sgd_step(model, backward(model, batch, caches), 0.5)
+        _, cache = forward_batch(model, batch)
+        stepped = sgd_step(model, backward(model, batch, cache), 0.5)
         got = _project(stepped.input_layer, batch[0][0])
         assert len(calls) == 2 and calls[-1] is stepped.input_layer.weights
         for n, x in enumerate(batch[0][0]):
@@ -491,9 +492,9 @@ class TestProjectionMemo:
         rng = np.random.default_rng(109)
         model = tiny_model()
         batch = make_batch(rng, model, 3, 2)
-        _, caches = forward_batch(model, batch)
+        _, cache = forward_batch(model, batch)
         assert len(model.input_layer.projected) == 6
-        stepped = sgd_step(model, backward(model, batch, caches), 0.1)
+        stepped = sgd_step(model, backward(model, batch, cache), 0.1)
         assert stepped.input_layer.projected == {}
         save_model(model, tmp_path / "model.txt")
         loaded, _ = load_model(tmp_path / "model.txt")
@@ -509,11 +510,10 @@ class TestProjectionMemo:
             evaluate(model, [dataset[i] for i in warm])
         for i in data.draw(st.permutations(range(n))):
             xs, _ = dataset[i]
-            probs, cache = forward_sequence(model, xs)
-            want_probs, want_cache = forward_sequence(with_fresh_layer(model), xs)
+            probs, hidden = forward_sequence(model, xs)
+            want_probs, want_hidden = forward_sequence(with_fresh_layer(model), xs)
             assert_close(probs, want_probs)
-            assert_close(cache.hidden, want_cache.hidden)
-            assert np.array_equal(cache.x, want_cache.x)
+            assert_close(hidden, want_hidden)
 
 
 def assert_grads_close(got, want):
@@ -531,25 +531,46 @@ class TestBatchedBackward:
     @example(one_core_case())
     def test_matches_per_sample_oracle(self, case):
         model, batch = case
-        _, caches = forward_batch(model, batch)
-        assert_grads_close(backward(model, batch, caches), backward_per_sample(model, batch))
+        _, cache = forward_batch(model, batch)
+        assert_grads_close(backward(model, batch, cache), backward_per_sample(model, batch))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(model_and_sliding_windows())
+    def test_batch_cache_matches_one_batched_forward(self, case):
+        model, batch = case
+        _, (hidden, probs) = forward_batch(model, batch)
+        want_hidden, want_probs = _forward_windows(
+            with_fresh_layer(model), [xs for xs, _ in batch]
+        )
+        assert_close(hidden, want_hidden)
+        assert_close(probs, want_probs)
 
     def test_single_step_windows(self):
         rng = np.random.default_rng(113)
         model = tiny_model()
         batch = make_batch(rng, model, 3, 1)
-        _, caches = forward_batch(model, batch)
-        got = backward(model, batch, caches)
+        _, cache = forward_batch(model, batch)
+        got = backward(model, batch, cache)
         assert np.array_equal(got["feedback"], np.zeros_like(model.feedback))
         assert_grads_close(got, backward_per_sample(model, batch))
+
+    def test_empty_batch(self):
+        model = tiny_model()
+        cache = (np.zeros((2, 0, model.hidden_size)), np.zeros((0, 3)))
+        with pytest.raises(EmptyDataset):
+            forward_batch(model, [])
+        with pytest.raises(EmptyDataset):
+            backward(model, [], cache)
 
     def test_ragged_windows_rejected(self):
         rng = np.random.default_rng(67)
         model = tiny_model()
         batch = make_batch(rng, model, 1, 3) + make_batch(rng, model, 1, 2)
-        _, caches = forward_batch(model, batch)
         with pytest.raises(ShapeMismatch):
-            backward(model, batch, caches)
+            forward_batch(model, batch)
+        _, cache = forward_batch(model, batch[:1])
+        with pytest.raises(ShapeMismatch):
+            backward(model, batch, cache)
 
 
 class TestEvaluate:
@@ -618,8 +639,8 @@ class TestSGD:
         rng = np.random.default_rng(41)
         model = tiny_model(seed=12)
         batch = make_batch(rng, model, 2, 2)
-        _, caches = forward_batch(model, batch)
-        grads = backward(model, batch, caches)
+        _, cache = forward_batch(model, batch)
+        grads = backward(model, batch, cache)
         same = sgd_step(model, grads, 0.0)
         for (_, a), (_, b) in zip(model.named_params(), same.named_params()):
             assert np.array_equal(a, b)
@@ -636,8 +657,8 @@ class TestSGD:
         rng = np.random.default_rng(43)
         model = tiny_model(seed=14)
         batch = make_batch(rng, model, 1, 2, labels=[1])
-        before, caches = forward_batch(model, batch)
-        grads = backward(model, batch, caches)
+        before, cache = forward_batch(model, batch)
+        grads = backward(model, batch, cache)
         stepped = sgd_step(model, grads, 0.05)
         after = batch_loss(stepped, batch)
         assert after < before
