@@ -78,12 +78,27 @@ class BacktestReport:
     baseline: "BacktestReport | None" = None
 
 
-def _sharpe_or_nan(returns) -> tuple[float, bool]:
+def _track(positions, returns, baseline=None) -> BacktestReport:
+    """The report of holding ``positions`` over ``returns``.
+
+    Its total return is its last cumulative profit.
+    """
+    daily = positions * returns
+    cumulative = np.cumsum(daily)
     try:
-        return sharpe(returns), True
-    except (ZeroVariance, LengthMismatch):
-        # one-day tracks have no defined Sharpe either
-        return float("nan"), False
+        sharpe_value, defined = sharpe(daily), True
+    except (ZeroVariance, LengthMismatch):  # one-day tracks have no defined Sharpe either
+        sharpe_value, defined = float("nan"), False
+    return BacktestReport(
+        daily_positions=positions,
+        daily_returns=daily,
+        cumulative_profit=cumulative,
+        sharpe=sharpe_value,
+        sharpe_defined=defined,
+        total_return=float(cumulative[-1]),
+        accuracy=float("nan"),
+        baseline=baseline,
+    )
 
 
 def run_backtest(positions, target_returns) -> BacktestReport:
@@ -98,30 +113,7 @@ def run_backtest(positions, target_returns) -> BacktestReport:
         raise LengthMismatch(f"positions {pos.shape} and returns {ret.shape} must align")
     if pos.size == 0:
         raise LengthMismatch("empty track")
-    daily = pos * ret
-    cumulative = np.cumsum(daily)
-    strat_sharpe, strat_ok = _sharpe_or_nan(daily)
-    base_sharpe, base_ok = _sharpe_or_nan(ret)
-    baseline = BacktestReport(
-        daily_positions=np.ones_like(ret),
-        daily_returns=ret,
-        cumulative_profit=np.cumsum(ret),
-        sharpe=base_sharpe,
-        sharpe_defined=base_ok,
-        total_return=float(np.sum(ret)),
-        accuracy=float("nan"),
-        baseline=None,
-    )
-    return BacktestReport(
-        daily_positions=pos,
-        daily_returns=daily,
-        cumulative_profit=cumulative,
-        sharpe=strat_sharpe,
-        sharpe_defined=strat_ok,
-        total_return=float(cumulative[-1]),
-        accuracy=float("nan"),
-        baseline=baseline,
-    )
+    return _track(pos, ret, _track(np.ones_like(ret), ret))
 
 
 def evaluate_predictions(probs, true_labels, target_returns) -> BacktestReport:

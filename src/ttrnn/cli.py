@@ -105,15 +105,7 @@ def cmd_train(args) -> int:
     hidden_dims = cfg.hidden_tensor_dims()
     ranks = cfg.rank_tuple()
     model = neural.init_model(in_dims, hidden_dims, ranks, stream_rng(cfg.seed, "init"))
-    train_cfg = neural.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seq_len=cfg.seq_len,
-        ranks=ranks,
-        seed=cfg.seed,
-    )
-    model, log = neural.train(model, dataset, train_cfg)
+    model, log = neural.train(model, dataset, cfg.train_config())
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, "checkpoint.txt")

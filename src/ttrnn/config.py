@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .features import TENSOR_DIMS_5
+from .neural import TrainConfig, config_ranks
 from .rng import stream_rng  # re-exported: callers use it as config.stream_rng
-from .ttformat import InvalidRank, check_ranks
-
-
-def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
-    """:func:`ttformat.check_ranks` for a setting: a bad tuple raises ConfigError."""
-    try:
-        return check_ranks(ranks, n_modes)
-    except InvalidRank as exc:
-        raise ConfigError(f"bad ranks: {exc}") from None
 
 
 @dataclass
@@ -64,7 +55,19 @@ class RunConfig:
             )
         return config_ranks(full, n)
 
+    def train_config(self) -> TrainConfig:
+        """The SGD settings of this run, as :func:`neural.train` takes them."""
+        return TrainConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            seq_len=self.seq_len,
+            ranks=self.rank_tuple(),
+            seed=self.seed,
+        )
+
     def validate(self) -> "RunConfig":
+        """Check the run; the SGD settings are checked by :meth:`TrainConfig.validate`."""
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
         if self.input_dims() != TENSOR_DIMS_5:
@@ -74,16 +77,11 @@ class RunConfig:
             )
         if len(self.hidden_tensor_dims()) != len(self.input_dims()):
             raise ConfigError("hidden_dims must have the same mode count as in_dims")
-        self.rank_tuple()
-        for name in ("synth_days", "seq_len", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        self.train_config().validate()
+        if self.synth_days < 1:
+            raise ConfigError(f"synth_days must be >= 1, got {self.synth_days}")
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must be in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         return self
 
 
@@ -119,19 +117,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge config-file values with CLI overrides (overrides win) and validate."""
-    merged: dict = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, val in source.items():
-            if val is None:
-                continue
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = val
+def build_config(overrides: dict) -> RunConfig:
+    """The validated RunConfig of ``key: value`` settings; a None value keeps the default."""
     cfg = RunConfig()
-    for key, val in merged.items():
-        kind = _FIELD_TYPES[key]
+    for key, val in overrides.items():
+        if val is None:
+            continue
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
             if kind in ("int", int):
                 setattr(cfg, key, int(val))

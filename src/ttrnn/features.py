@@ -345,10 +345,17 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
         raise InsufficientHistory(
             f"split {split} leaves no usable train/test days out of {n_days}"
         )
-    mean = raw[:n_train].mean(axis=0)
-    std = raw[:n_train].std(axis=0)
-    safe = np.where(std < 1e-12, 1.0, std)
-    normalized = (raw - mean) / safe
+    # finite input can still overflow here; the check below names the column
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = raw[:n_train].mean(axis=0)
+        std = raw[:n_train].std(axis=0)
+        safe = np.where(std < 1e-12, 1.0, std)
+        normalized = (raw - mean) / safe
+    finite = np.isfinite(std) & np.isfinite(normalized).all(axis=0)
+    if not finite.all():
+        f, slot, cls = np.argwhere(~finite)[0]
+        symbol = panel.instruments[cls * N_SLOTS + slot].symbol
+        raise DataError(f"feature {FEATURE_NAMES[f]} of {symbol} overflows float64 when z-scored")
 
     return FeaturePanel(
         dates=dates,

@@ -9,7 +9,6 @@ model leaned on.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -134,9 +133,10 @@ def read_core_change_csv(path) -> CoreChangeLog:
         raise DataError(f"no core-change rows in {path}")
     cores = range(1, max(core for core, _ in cells) + 1)
     epochs = sorted({epoch for _, epoch in cells})
-    missing = [cell for cell in itertools.product(cores, epochs) if cell not in cells]
+    # a generator, not itertools.product, which would first copy every core number
+    missing = next(((c, e) for c in cores for e in epochs if (c, e) not in cells), None)
     if missing:
-        raise DataError(f"{path}: no row for core {missing[0][0]} epoch {missing[0][1]}")
+        raise DataError(f"{path}: no row for core {missing[0]} epoch {missing[1]}")
     values = np.array([[cells[c, e] for e in epochs] for c in cores])
     return CoreChangeLog(core_shapes=[() for _ in cores], epochs=epochs, values=values)
 

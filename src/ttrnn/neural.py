@@ -20,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import config_ranks
+from . import interpret
 from .errors import ConfigError, DataError, ShapeError
 from .rng import stream_rng
 from .tensor import DenseTensor, element_count
 from .ttformat import (
+    InvalidRank,
     TTMatrix,
     _ints,
     _parse_values,
+    check_ranks,
     format_tt_matrix,
     mpo_to_matrix,
     parse_tt_matrix,
@@ -167,9 +169,6 @@ class TTRNNModel:
             head_bias=params["head_bias"],
         )
 
-    def n_params(self) -> int:
-        return sum(a.size for _, a in self.named_params())
-
 
 def _named_cores(cores) -> dict:
     return {f"core{k}": c for k, c in enumerate(cores)}
@@ -180,9 +179,17 @@ def dense_shapes(m: int) -> dict:
     return dict(bias=(m,), feedback=(m, m), head_weights=(N_CLASSES, m), head_bias=(N_CLASSES,))
 
 
+def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
+    """:func:`ttformat.check_ranks` for a setting: a bad tuple raises ConfigError."""
+    try:
+        return check_ranks(ranks, n_modes)
+    except InvalidRank as exc:
+        raise ConfigError(f"bad ranks: {exc}") from None
+
+
 @dataclass
 class TrainConfig:
-    """Plain SGD settings for the training loop."""
+    """Plain SGD settings for the training loop; :meth:`validate` is their one check."""
 
     learning_rate: float = 1e-5
     epochs: int = 20
@@ -438,8 +445,6 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
     mean loss is not finite stops training with :class:`ConfigError`: the
     learning rate is too large.
     """
-    from . import interpret
-
     config.validate()
     if not dataset:
         raise EmptyDataset("cannot train on an empty dataset")

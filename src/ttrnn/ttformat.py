@@ -85,10 +85,6 @@ class TTVector:
     def ranks(self) -> tuple[int, ...]:
         return (1,) + tuple(c.shape[2] for c in self.cores)
 
-    @property
-    def n_params(self) -> int:
-        return sum(c.size for c in self.cores)
-
 
 @dataclass(frozen=True)
 class TTMatrix:

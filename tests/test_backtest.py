@@ -84,6 +84,13 @@ class TestRunBacktest:
         assert rep.total_return == rep.cumulative_profit[-1]
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_baseline_total_return_is_its_last_cumulative(self, seed):
+        rng = np.random.default_rng(seed)
+        rep = run_backtest(rng.uniform(-1, 1, 339), rng.normal(0, 0.01, 339))
+        assert rep.baseline.total_return == rep.baseline.cumulative_profit[-1]
+
+
 class TestSharpe:
     def test_alternating_returns_zero(self):
         rets = np.array([0.01, -0.01] * 5)

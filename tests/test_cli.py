@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestBadInputExitCodes:
         log.write_text("core,epoch,normalized_change\n")
         assert main(["report-cores", "--log", str(log)]) == 3
         assert_one_line_error(capsys, "data")
+
+    def test_far_core_number_reported_without_listing_every_gap(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n1,2,0.5\n1000000,2,0.5\n")
+        tracemalloc.start()
+        try:
+            code = main(["report-cores", "--log", str(log)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "no row for core 2 epoch 2" in err
+        assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize(
         "damage, where",
@@ -515,6 +531,19 @@ class TestBadInputExitCodes:
         assert code == 2
         assert_one_line_error(capsys, "config")
         assert not (tmp_path / "epoch_losses.csv").exists()
+
+    def test_normalization_overflow(self, tmp_path, capsys):
+        panel = synth_panel(SynthConfig(days=60), 1)
+        panel.volume[:, 3] = np.where(np.arange(60) % 2, 9e307, 1e308)
+        manifest = write_panel(panel, tmp_path / "data")
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert "volume of EQ4" in err
+        assert not (tmp_path / "out" / "checkpoint.txt").exists()
 
     def test_divergent_training(self, tmp_path, capsys):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + ["--learning-rate", "1e3"])

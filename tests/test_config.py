@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +58,18 @@ def test_every_exception_has_exactly_one_base():
             found.append(cls.__qualname__)
             assert sum(issubclass(cls, base) for base in BASES) == 1, cls
     assert len(found) >= 19, found
+
+
+def test_model_layers_import_no_settings_or_pipeline_module():
+    """tensor, ttformat, neural and interpret sit below config, features, cli and backtest."""
+    package = Path(ttrnn.__file__).parent
+    for name in ("tensor", "ttformat", "neural", "interpret"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .x import ...
+                    imported.add(node.module.split(".")[0])
+                else:  # from . import x, y
+                    imported.update(alias.name for alias in node.names)
+        assert not imported & {"config", "features", "cli", "backtest"}, (name, imported)

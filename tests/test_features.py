@@ -318,6 +318,19 @@ class TestAssemble:
         with pytest.raises(UnknownTarget):
             assemble(small_panel(), "NOPE", split=0.9)
 
+    @pytest.mark.parametrize(
+        "series, high, low",
+        [
+            ("volume", 1e308, 9e307),  # the mean overflows: NaN
+            ("open_interest", 1e200, -1e200),  # only the variance overflows: all zeros
+        ],
+    )
+    def test_overflowing_normalization_names_the_column(self, series, high, low):
+        panel = small_panel()
+        getattr(panel, series)[:, 3] = np.where(np.arange(panel.n_days) % 2, low, high)
+        with pytest.raises(DataError, match=f"feature {series} of EQ4 overflows"):
+            assemble(panel, "FX6", split=0.9)
+
     def test_insufficient_history(self):
         tiny = cut_panel(small_panel(days=80), WARMUP + 1)
         with pytest.raises(InsufficientHistory):

@@ -229,6 +229,21 @@ class TestTTSVD:
         tt = tt_svd(t, tol=tol)
         assert rel_err(tt_reconstruct(tt), t) <= tol + 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tolerance_truncates_noise_to_the_planted_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        dims, planted = (4, 5, 6, 3), (1, 2, 3, 2, 1)
+        cores = [rng.normal(size=(planted[k], d, planted[k + 1])) for k, d in enumerate(dims)]
+        clean = tt_reconstruct(TTVector(cores)).data
+        noise = rng.normal(size=clean.shape)
+        noise *= 1e-3 * np.linalg.norm(clean) / np.linalg.norm(noise)
+        t = DenseTensor(dims, clean + noise)
+        assert tt_svd(t).ranks != planted  # the noise fills every rank
+        tol = 0.05
+        tt = tt_svd(t, tol=tol)
+        assert tt.ranks == planted
+        assert rel_err(tt_reconstruct(tt), t) <= tol
+
     def test_roundtrip_property_random_shapes(self):
         rng = np.random.default_rng(13)
         for shape in [(6,), (3, 7), (2, 3, 4), (3, 3, 3, 3), (2, 2, 5, 6, 4)]:
