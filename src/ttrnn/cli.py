@@ -47,13 +47,9 @@ def _settings(args) -> dict:
     """The run settings the ``--config`` file and the flags give, flags winning."""
     values = parse_config_file(args.config) if args.config else {}
     for field in fields(RunConfig):
-        if getattr(args, field.name, None) is not None:
+        if getattr(args, field.name) is not None:
             values[field.name] = getattr(args, field.name)
     return values
-
-
-def _config_from_args(args) -> RunConfig:
-    return build_config(_settings(args))
 
 
 def _load_or_synth_panel(cfg: RunConfig) -> tuple[feat.AssetPanel, list]:
@@ -72,7 +68,7 @@ def _load_or_synth_panel(cfg: RunConfig) -> tuple[feat.AssetPanel, list]:
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_config(_settings(args))
     panel, _ = _load_or_synth_panel(replace(cfg, data_manifest=""))
     data_dir = os.path.join(cfg.out_dir, "data")
     manifest = feat.write_panel(panel, data_dir)
@@ -81,7 +77,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_config(_settings(args))
     panel, _ = _load_or_synth_panel(cfg)
     fp = feat.assemble(panel, cfg.target, cfg.split)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -95,7 +91,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = build_config(_settings(args))
     panel, input_files = _load_or_synth_panel(cfg)
     fp = feat.assemble(panel, cfg.target, cfg.split)
     train_samples, _ = fp.samples(cfg.seq_len)
@@ -221,14 +217,16 @@ def cmd_report_cores(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    max_ranks = None
-    if args.max_ranks:
-        try:
-            max_ranks = ttformat._ints(args.max_ranks)
-        except ValueError:
-            raise ConfigError(
-                f"--max-ranks must be comma-separated integers, got {args.max_ranks!r}"
-            ) from None
+    try:
+        max_ranks = ttformat._ints(args.max_ranks) if args.max_ranks else None
+    except ValueError:
+        raise ConfigError(
+            f"--max-ranks must be comma-separated integers, got {args.max_ranks!r}"
+        ) from None
+    try:
+        tol = None if args.tol is None else float(args.tol)
+    except ValueError:
+        raise ConfigError(f"--tol must be a number, got {args.tol!r}") from None
     try:
         with open(args.input) as f:
             lines = f.read().strip("\n").split("\n")
@@ -249,7 +247,7 @@ def cmd_decompose(args) -> int:
     t = tensor.DenseTensor(dims, ttformat._parse_values(lines[1], dims))
     if not np.all(np.isfinite(t.data)):
         raise DataError(f"{args.input}: tensor values must be finite")
-    tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=args.tol)
+    tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=tol)
     with open(args.out, "w") as f:
         f.write(ttformat.format_tt_vector(tt))
     rebuilt = ttformat.tt_reconstruct(tt)
@@ -262,19 +260,12 @@ def cmd_decompose(args) -> int:
 
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--data-manifest", dest="data_manifest", help="CSV manifest of instrument files")
-    p.add_argument("--synth-days", dest="synth_days", type=int)
-    p.add_argument("--signal-strength", dest="signal_strength", type=float)
-    p.add_argument("--target", help="target instrument symbol")
-    p.add_argument("--split", type=float, help="train fraction, in (0, 1)")
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--ranks", help="TT ranks: scalar, interior list, or full list")
-    p.add_argument("--hidden-dims", dest="hidden_dims", help="hidden tensor mode sizes")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int)
+    for field in fields(RunConfig):  # one text flag per setting; build_config parses it
+        p.add_argument(
+            f"--{field.name.replace('_', '-')}",
+            dest=field.name,
+            help=f"config key {field.name} (default {field.default!r})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="tensor file: 'tensor dims=..' + data line")
     p.add_argument("--out", required=True, help="output TT cores file")
     p.add_argument("--max-ranks", dest="max_ranks", help="full rank tuple, comma separated")
-    p.add_argument("--tol", type=float, help="relative Frobenius error budget")
+    p.add_argument("--tol", help="relative Frobenius error budget")
     p.set_defaults(func=cmd_decompose)
 
     return parser

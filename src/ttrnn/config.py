@@ -38,16 +38,13 @@ class RunConfig:
     def rank_tuple(self) -> tuple[int, ...]:
         """Full rank tuple (1, r_1, ..., r_{N-1}, 1) resolved against the mode count."""
         n = len(self.hidden_tensor_dims())
-        try:
-            parts = [int(x) for x in str(self.ranks).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad ranks {self.ranks!r}: {exc}") from None
+        parts = _dims(self.ranks, "ranks")
         if len(parts) == 1:
             full = (1,) + (parts[0],) * (n - 1) + (1,)
         elif len(parts) == n - 1:
-            full = (1,) + tuple(parts) + (1,)
+            full = (1,) + parts + (1,)
         elif len(parts) == n + 1:
-            full = tuple(parts)
+            full = parts
         else:
             raise ConfigError(
                 f"ranks {self.ranks!r} has {len(parts)} entries; expected 1, "
@@ -95,12 +92,13 @@ def _dims(text: str, what: str) -> tuple[int, ...]:
     return dims
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# field type -> converter; each f.type is a string under ``from __future__ import annotations``
+_CONVERTERS = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
-    values = {}
+    values, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
@@ -113,26 +111,26 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate key {key!r} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        values[key] = val.strip()
     return values
 
 
 def build_config(overrides: dict) -> RunConfig:
-    """The validated RunConfig of ``key: value`` settings; a None value keeps the default."""
+    """The validated RunConfig of ``key: text`` settings (flags or file); None keeps the default."""
     cfg = RunConfig()
     for key, val in overrides.items():
         if val is None:
             continue
-        kind = _FIELD_TYPES.get(key)
-        if kind is None:
+        if key not in _CONVERTERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if kind in ("int", int):
-                setattr(cfg, key, int(val))
-            elif kind in ("float", float):
-                setattr(cfg, key, float(val))
-            else:
-                setattr(cfg, key, str(val))
+            setattr(cfg, key, _CONVERTERS[key](val))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
     return cfg.validate()

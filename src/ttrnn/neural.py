@@ -420,7 +420,13 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
         )
     m = math.prod(hidden_dims)
     params = _named_cores(cores)
-    params["feedback"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, m))
+    try:
+        params["feedback"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, m))
+    except (ValueError, MemoryError):  # numpy refuses the size
+        raise ConfigError(
+            f"hidden_dims {hidden_dims} give M = {m} hidden units; "
+            "the M x M feedback matrix is too large to allocate"
+        ) from None
     params["bias"] = np.zeros(m)
     params["head_weights"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(N_CLASSES, m))
     params["head_bias"] = np.zeros(N_CLASSES)

@@ -1,12 +1,15 @@
+import argparse
 import base64
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ttrnn.cli import main
+from ttrnn.cli import build_parser, main
+from ttrnn.config import RunConfig
 from ttrnn.features import SynthConfig, synth_panel, write_panel
 from ttrnn.neural import TTRNNModel, save_model
 from ttrnn.tensor import DenseTensor
@@ -210,6 +213,21 @@ class TestDecompose:
              "--max-ranks", "1,2,2,1"]
         )
         assert code == 4  # shape/rank error
+
+
+class TestRunFlags:
+    def test_run_flags_are_the_run_config_fields(self):
+        """Each RunConfig field is one text flag; build_config is the only parser of its value."""
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        names = {f.name for f in fields(RunConfig)}
+        for command in ("synth", "features", "train", "backtest"):
+            flags = [a for a in commands[command]._actions if a.dest not in ("help", "checkpoint")]
+            assert {a.dest for a in flags} == names | {"config"}, command
+            for a in flags:
+                assert a.option_strings == ["--" + a.dest.replace("_", "-")], a.option_strings
+                assert a.type is None, a.dest
 
 
 class TestExitCodes:
@@ -525,6 +543,44 @@ class TestBadInputExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert str(src) in err
 
+    @pytest.mark.parametrize(
+        "key",
+        ["synth_days", "signal_strength", "split", "seq_len", "epochs", "batch_size",
+         "learning_rate", "seed"],
+    )
+    def test_non_numeric_setting_from_flag_or_file(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        errors = []
+        for given in (["--" + key.replace("_", "-"), "x"], ["--config", str(cfg)]):
+            assert main(["train", "--out-dir", str(tmp_path / "out")] + given) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1], errors
+        assert errors[0].startswith(f"config error: bad value for {key!r}: "), errors[0]
+        assert errors[0].count("\n") == 1, errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 2\n# a comment\nseed = 1\nepochs = 3\n")
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}:4: duplicate key 'epochs' (first on line 1)\n", err
+        assert not (tmp_path / "out").exists()
+
+    def test_hidden_dims_too_large_to_allocate(self, tmp_path, capsys):
+        # M = 1000^5: numpy refuses the M x M feedback matrix before allocating anything
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--synth-days", "60", "--epochs", "1",
+             "--hidden-dims", "1000,1000,1000,1000,1000"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hidden_dims ") and err.count("\n") == 1, err
+        assert "feedback matrix" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", [["--learning-rate", "nan"], ["--ranks", "0"]])
     def test_bad_setting(self, tmp_path, capsys, option):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + option)
@@ -568,7 +624,7 @@ class TestBadInputExitCodes:
         assert code == 3
         assert_one_line_error(capsys, "data")
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
     def test_bad_tolerance(self, tmp_path, capsys, tol):
         src = tmp_path / "tensor.txt"
         src.write_text("tensor dims=2,2\n1.0 2.0 3.0 4.0\n")

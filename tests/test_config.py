@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,16 @@ def test_model_layers_import_no_settings_or_pipeline_module():
                 else:  # from . import x, y
                     imported.update(alias.name for alias in node.names)
         assert not imported & {"config", "features", "cli", "backtest"}, (name, imported)
+
+
+def test_readme_config_key_table_matches_run_config():
+    """README's "Config keys" table lists RunConfig's fields, in order, with their defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]  # after header and rule
+    documented = {key.strip().strip("`"): default.strip() for key, default in rows}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert list(documented) == list(defaults)
+    for key, default in defaults.items():
+        text = documented[key]
+        assert type(default)("" if text == "*(empty)*" else text.strip("`")) == default, key
