@@ -193,11 +193,14 @@ def cmd_report_cores(args) -> int:
             with open(manifest_path) as f:
                 dims = json.load(f).get("config", {}).get("in_dims")
             if dims:
-                labels = interpret.mode_labels(int(x) for x in dims.split(","))
+                sizes = [int(x) for x in dims.split(",")]
+                if min(sizes) < 1:
+                    raise ValueError
+                labels = interpret.mode_labels(sizes)
         except (AttributeError, ValueError):
             raise DataError(
                 f"{manifest_path}: malformed run manifest (want JSON whose config.in_dims "
-                "is comma-separated integers)"
+                "is comma-separated positive integers)"
             ) from None
         if labels is not None and len(labels) != log.n_cores:
             raise DataError(
@@ -233,6 +236,10 @@ def cmd_decompose(args) -> int:
     except UnicodeDecodeError:
         raise DataError(f"{args.input}: not UTF-8 text") from None
     head = lines[0].split()
+    keys = [kv.partition("=")[0] for kv in head[1:]]
+    repeated = [key for key in keys if keys.count(key) > 1]
+    if repeated:
+        raise DataError(f"{args.input}: header key {repeated[0]!r} appears twice")
     try:
         if head[0] != "tensor" or len(lines) < 2:
             raise ValueError
@@ -244,7 +251,10 @@ def cmd_decompose(args) -> int:
             f"{args.input}: expected a 'tensor dims=...' header (positive sizes) "
             "plus a data line"
         ) from None
-    t = tensor.DenseTensor(dims, ttformat._parse_values(lines[1], dims))
+    try:
+        t = tensor.DenseTensor(dims, ttformat._parse_values(lines[1], dims))
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     if not np.all(np.isfinite(t.data)):
         raise DataError(f"{args.input}: tensor values must be finite")
     tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=tol)

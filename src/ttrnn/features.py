@@ -490,7 +490,8 @@ def write_panel(panel: AssetPanel, out_dir) -> str:
 def _csv_rows(f, path, header):
     """The header's columns, in header order, of each non-blank row of an open CSV.
 
-    Missing cells of a short row read None; text that is not UTF-8 raises DataError.
+    The first row must name each of them once.  Missing cells of a short row
+    read None; text that is not UTF-8 raises DataError.
     """
     reader = csv.reader(f)
     try:
@@ -498,6 +499,9 @@ def _csv_rows(f, path, header):
         missing = [c for c in header if c not in names]
         if missing:
             raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        repeated = [c for c in header if names.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: column {repeated[0]!r} appears twice")
         pick = operator.itemgetter(*map(names.index, header))
         for row in filter(None, reader):
             yield pick(row + [None] * (len(names) - len(row)))

@@ -213,13 +213,13 @@ class TrainConfig:
 # --- TT linear map: dense apply, core gradients by projection ---------------
 
 
-def _project(layer: TTLinearLayer, xs, out=None) -> np.ndarray:
-    """The ``(N, M)`` fastest-first rows W x + bias of the input tensors.
+def _project(layer: TTLinearLayer, xs) -> list:
+    """The rows W x + bias of the input tensors, as the memo's own ``(M,)`` arrays.
 
     Inputs are told apart by identity, and each distinct one is multiplied
     by the dense map once over the layer's lifetime: those not yet in
     ``layer.projected`` get the one input shape check and one matrix product
-    together.  The rows are stacked into ``out`` if given.
+    together.  The rows are the memo's, so a caller must not write to them.
     """
     memo = layer.projected
     new = list({id(x): x for x in xs if id(x) not in memo}.values())
@@ -229,7 +229,7 @@ def _project(layer: TTLinearLayer, xs, out=None) -> np.ndarray:
     if new:
         y = np.stack([x.data for x in new]) @ layer.matrix.T + layer.bias.data
         memo.update((id(x), (x, row)) for x, row in zip(new, y))
-    return np.stack([memo[id(x)][1] for x in xs], out=out)
+    return [memo[id(x)][1] for x in xs]
 
 
 def _core_grads(cores, dw):
@@ -260,7 +260,7 @@ def _core_grads(cores, dw):
 
 def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
     """Apply the TT-format linear map to an input tensor and add the bias."""
-    return DenseTensor(layer.out_dims, _project(layer, [x])[0])
+    return DenseTensor(layer.out_dims, _project(layer, [x])[0].copy())
 
 
 def ttrnn_cell_forward(model: TTRNNModel, x_t: DenseTensor, h_prev: np.ndarray) -> np.ndarray:
@@ -290,24 +290,30 @@ def _window_length(windows) -> int:
     return len(windows[0])
 
 
-def _forward_windows(model: TTRNNModel, windows):
+def _forward_windows(model: TTRNNModel, windows, keep_states: bool = True):
     """Run the cell over B windows of T steps each and classify their final states.
 
     Windows cut from one day sequence share its day tensors, which
     :func:`_project` projects once; the ``(B, M)`` recurrence starts from
     h_0 = 0.  Returns the hidden states ``(T + 1, B, M)`` and the ``(B, 3)``
-    class probabilities.
+    class probabilities.  With ``keep_states=False`` the states live in a
+    ring of two ``(B, M)`` buffers, which is returned in their place.
     """
     n_steps = _window_length(windows)
-    m = model.hidden_size
-    hidden = np.zeros((n_steps + 1, len(windows), m))
-    # hidden[t + 1] first holds step t's projected inputs
-    steps = [xs[t] for t in range(n_steps) for xs in windows]
-    _project(model.input_layer, steps, out=hidden[1:].reshape(-1, m))
-    np.tanh(hidden[1], out=hidden[1])  # h_0 = 0 adds no feedback term
-    for t in range(1, n_steps):
-        np.tanh(hidden[t] @ model.feedback.T + hidden[t + 1], out=hidden[t + 1])
-    logits = hidden[-1] @ model.head_weights.T + model.head_bias
+    n_windows = len(windows)
+    n_bufs = n_steps + 1 if keep_states else 2
+    hidden = np.zeros((n_bufs, n_windows, model.hidden_size))
+    rows = _project(model.input_layer, [xs[t] for t in range(n_steps) for xs in windows])
+    if keep_states:  # one stack, not one per step: about 2% of a B = 1 window
+        np.stack(rows, out=hidden[1:].reshape(len(rows), -1))
+    for t in range(n_steps):
+        h = hidden[(t + 1) % n_bufs]  # first holds step t's projected inputs
+        if not keep_states:
+            np.stack(rows[t * n_windows : (t + 1) * n_windows], out=h)
+        if t:  # h_0 = 0 adds no feedback term
+            h += hidden[t % n_bufs] @ model.feedback.T
+        np.tanh(h, out=h)
+    logits = hidden[n_steps % n_bufs] @ model.head_weights.T + model.head_bias
     probs = np.array([softmax(row) for row in logits])
     return hidden, probs
 
@@ -484,9 +490,9 @@ def evaluate(model: TTRNNModel, dataset):
     """Mean loss, per-sample probabilities and predicted labels over a dataset.
 
     All windows run as one batch (see :func:`_forward_windows`), so they
-    need the same number of steps.
+    need the same number of steps; only the last two hidden states are held.
     """
-    _, probs = _forward_windows(model, [xs for xs, _ in dataset])
+    _, probs = _forward_windows(model, [xs for xs, _ in dataset], keep_states=False)
     losses = [cross_entropy_loss(p, label) for p, (_, label) in zip(probs, dataset)]
     predicted = [LABELS[int(np.argmax(p))] for p in probs]
     return float(np.mean(losses)), probs, predicted
@@ -582,8 +588,9 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
         raise DataError(f"{path}: hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
     shapes = dense_shapes(weights.n_out)
     params = _named_cores(weights.cores)
-    for line in lines[5 + n_modes :]:
-        name, _, values = line.partition(b" ")
+    del lines[: 5 + n_modes]
+    while lines:  # popped, so a dense line is held once while it is decoded
+        name, _, values = lines.pop(0).partition(b" ")
         name = name.decode("utf-8", "replace")
         if name in shapes:
             try:

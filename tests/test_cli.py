@@ -464,6 +464,25 @@ class TestBadInputExitCodes:
         assert code == 3
         assert_one_line_error(capsys, "data")
 
+    @pytest.mark.parametrize("name", ["CO3.csv", "manifest.csv"])
+    def test_repeated_csv_column(self, tmp_path, capsys, name):
+        manifest = write_panel(synth_panel(SynthConfig(days=50), 1), tmp_path / "data")
+        path = tmp_path / "data" / name
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",")[1]
+        # the column read first holds junk: with the repeat allowed, it would be used
+        lines = [lines[0].replace(f",{column},", f",{column},{column},", 1)] + [
+            line.replace(",", ",999,", 1) for line in lines[1:]
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: column {column!r} appears twice\n", err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "column, value",
         [(5, "inf"), (1, "nan"), (0, "2006-5-4")],
@@ -493,8 +512,11 @@ class TestBadInputExitCodes:
             '["config"]',
             '{"config": {"in_dims": "2,2"}}',
             '{"config": {"in_dims": "2,2,2,2"}}',
+            '{"config": {"in_dims": "2,0,2"}}',
+            '{"config": {"in_dims": "-2,2,2"}}',
         ],
-        ids=["not-json", "non-integer-dims", "not-an-object", "too-few-modes", "too-many-modes"],
+        ids=["not-json", "non-integer-dims", "not-an-object", "too-few-modes", "too-many-modes",
+             "zero-mode-size", "negative-mode-size"],
     )
     def test_malformed_run_manifest(self, tmp_path, capsys, text):
         log = tmp_path / "core_change.csv"
@@ -608,21 +630,27 @@ class TestBadInputExitCodes:
         assert not (tmp_path / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize(
-        "text",
+        "text, detail",
         [
-            "tensor dims=2,x\n1.0 2.0\n",
-            "tensor dims=2,2\n1.0 2.0 abc 4.0\n",
-            "",
-            "tensor dims=2,2\n1.0 nan 3.0 4.0\n",
+            ("tensor dims=2,x\n1.0 2.0\n", "expected a 'tensor dims=...' header"),
+            ("tensor dims=2,2\n1.0 2.0 abc 4.0\n", "bad number"),
+            ("", "expected a 'tensor dims=...' header"),
+            ("tensor dims=2,2\n1.0 nan 3.0 4.0\n", "tensor values must be finite"),
+            ("tensor dims=2,3 dims=4\n1.0 2.0 3.0 4.0\n", "header key 'dims' appears twice"),
+            ("tensor dims=2,3\n1.0 2.0 3.0\n", "expected 6 values, got 3"),
         ],
-        ids=["bad-dims", "non-numeric-value", "empty-file", "nan-value"],
+        ids=["bad-dims", "non-numeric-value", "empty-file", "nan-value", "repeated-key",
+             "too-few-values"],
     )
-    def test_malformed_tensor_file(self, tmp_path, capsys, text):
+    def test_malformed_tensor_file(self, tmp_path, capsys, text, detail):
         src = tmp_path / "tensor.txt"
         src.write_text(text)
         code = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o.txt")])
         assert code == 3
-        assert_one_line_error(capsys, "data")
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {src}: ") and err.count("\n") == 1, err
+        assert detail in err
+        assert not (tmp_path / "o.txt").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
     def test_bad_tolerance(self, tmp_path, capsys, tol):

@@ -1,6 +1,7 @@
 import base64
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -488,6 +489,16 @@ class TestProjectionMemo:
         held, row = layer.projected[id(x)]
         assert held is x and np.array_equal(row, y.data)
 
+    def test_output_does_not_alias_the_memo(self):
+        rng = np.random.default_rng(127)
+        layer = tiny_model().input_layer
+        x = rand_input(rng)
+        y = tt_linear_forward(layer, x)
+        want = y.data.copy()
+        y.data[:] = 0.0
+        assert np.array_equal(tt_linear_forward(layer, x).data, want)
+        assert np.array_equal(layer.projected[id(x)][1], want)
+
     def test_new_layers_start_empty(self, tmp_path):
         rng = np.random.default_rng(109)
         model = tiny_model()
@@ -593,6 +604,41 @@ class TestEvaluate:
         _, probs, _ = evaluate(model, dataset)
         _, want_probs, _ = evaluate_per_window(model, dataset)
         assert np.all(np.abs(probs - want_probs) <= 1e-12 * want_probs)
+
+    @pytest.mark.parametrize("n_windows", [1, 7])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
+    def test_ring_matches_kept_states(self, n_steps, n_windows):
+        rng = np.random.default_rng(89)
+        model = tiny_model()
+        days = [rand_input(rng) for _ in range(n_steps + n_windows)]
+        windows = [days[start : start + n_steps] for start in range(n_windows)]
+        hidden, probs = _forward_windows(model, windows)
+        ring, ring_probs = _forward_windows(model, windows, keep_states=False)
+        assert ring.shape == (2, n_windows, model.hidden_size)
+        assert ring_probs.tobytes() == probs.tobytes()
+        assert ring[n_steps % 2].tobytes() == hidden[-1].tobytes()
+        _, eval_probs, _ = evaluate(model, [(xs, 1) for xs in windows])
+        assert eval_probs.tobytes() == probs.tobytes()
+
+    def test_holds_two_hidden_states(self):
+        # hidden 2^5, 200 sliding windows of 10 steps: a (B, M) buffer is 50 kB
+        rng = np.random.default_rng(97)
+        model = init_model((2,) * 5, (2,) * 5, (1, 2, 2, 2, 2, 1), rng)
+        days = [rand_input(rng, model.in_dims) for _ in range(209)]
+        dataset = [(days[start : start + 10], 1) for start in range(200)]
+        model.input_layer.matrix  # built before tracing
+        buffer = 200 * model.hidden_size * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate(model, dataset)
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()  # kept: the memo
+        finally:
+            tracemalloc.stop()
+        assert len(model.input_layer.projected) == len(days)
+        # the ring's two buffers, the stacked inputs and the step lists; all 11 states need 11
+        assert peak - kept < 5 * buffer, (peak - kept) / buffer
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -870,6 +916,22 @@ class TestCheckpoint:
             assert na == nb and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), na
             assert b.dtype == np.float64 and b.flags.writeable
+
+    def test_load_holds_each_dense_line_once(self, tmp_path):
+        # hidden 256: the dense lines are 0.7 MB of base64, the rest a few kB
+        model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(24))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        dense = sum(map(len, path.read_bytes().split(b"\n")[-5:]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the feedback line (4/3 of its 8-byte values), its decoded bytes and its array
+        assert peak < 2.6 * dense, peak / dense
 
     def test_reads_v1(self, tmp_path):
         model = tiny_model(seed=23)
