@@ -236,14 +236,14 @@ def cmd_decompose(args) -> int:
     except UnicodeDecodeError:
         raise DataError(f"{args.input}: not UTF-8 text") from None
     head = lines[0].split()
-    keys = [kv.partition("=")[0] for kv in head[1:]]
-    repeated = [key for key in keys if keys.count(key) > 1]
-    if repeated:
-        raise DataError(f"{args.input}: header key {repeated[0]!r} appears twice")
+    try:
+        fields = ttformat.header_fields(head[1:])
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     try:
         if head[0] != "tensor" or len(lines) < 2:
             raise ValueError
-        dims = ttformat._ints(dict(kv.split("=") for kv in head[1:])["dims"])
+        dims = ttformat._ints(fields["dims"])
         if min(dims) < 1:
             raise ValueError
     except (IndexError, KeyError, ValueError):

@@ -13,6 +13,7 @@ finite differences.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import functools
 import math
@@ -353,10 +354,12 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
     The gradients are keyed, ordered and shaped like ``model.named_params()``.
     The batch is walked back step by step on ``(B, M)`` matrices, keeping
     each step's pre-activation gradient.  After the loop the kept
-    ``(T, B, M)`` gradients give the bias (their sum), the feedback gradient
-    (one matrix product with the states h_1 .. h_{T-1}; h_0 = 0 adds
-    nothing) and the dense input map's gradient (one matrix product with the
-    inputs), which is projected onto the cores.
+    ``(T, B, M)`` gradients give the dense input map's gradient (one matrix
+    product with the inputs), which is projected onto the cores, the bias
+    (their sum) and the feedback gradient (one matrix product with the states
+    h_1 .. h_{T-1}; h_0 = 0 adds nothing).  The input stack and the core
+    projection's temporaries are freed before the M x M feedback gradient is
+    made, and every gradient is scaled in place.
     """
     hidden, probs = cache
     n_steps = _window_length([xs for xs, _ in batch])
@@ -364,8 +367,6 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
     if hidden.shape[:2] != (n_steps + 1, n):
         raise CacheMismatch(f"cache shaped {hidden.shape} for {n} windows of {n_steps} steps")
     m = model.hidden_size
-    # (T * B, prod(in_dims)) fastest-first inputs, time-major as _forward_windows projects them
-    x = np.stack([xs[t].data for t in range(n_steps) for xs, _ in batch])
     d_logits = probs.copy()
     d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
     d_pre = np.empty((n_steps, n, m))
@@ -374,24 +375,29 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
         np.multiply(dh, 1.0 - hidden[t + 1] * hidden[t + 1], out=d_pre[t])
         if t:  # h_0 = 0: step 0 passes nothing further back
             dh = d_pre[t] @ model.feedback
-    d_feedback = d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m)
-    d_pre = d_pre.reshape(-1, m)
-
-    grads = _named_cores(_core_grads(model.cores, d_pre.T @ x))
+    # (T * B, prod(in_dims)) fastest-first inputs, time-major as _forward_windows projects them
+    x = np.stack([xs[t].data for t in range(n_steps) for xs, _ in batch])
+    d_input_map = d_pre.reshape(-1, m).T @ x
+    del x
+    grads = _named_cores(_core_grads(model.cores, d_input_map))
+    del d_input_map
     grads.update(
-        feedback=d_feedback,
-        bias=d_pre.sum(axis=0),
+        feedback=d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m),
+        bias=d_pre.reshape(-1, m).sum(axis=0),
         head_weights=d_logits.T @ hidden[-1],
         head_bias=d_logits.sum(axis=0),
     )
-    scale = 1.0 / n
-    return {name: g * scale for name, g in grads.items()}
+    for g in grads.values():  # each a fresh array
+        g *= 1.0 / n
+    return grads
 
 
 def sgd_step(model: TTRNNModel, grads: dict, lr: float) -> TTRNNModel:
     """Plain gradient descent update; returns a new model.
 
-    Gradient names and shapes must equal the parameters', or ShapeMismatch is raised.
+    Each new parameter is ``p - lr * g`` in one fresh array; neither the
+    model nor ``grads`` is written.  Gradient names and shapes must equal the
+    parameters', or ShapeMismatch is raised.
     """
     params = dict(model.named_params())
     if grads.keys() != params.keys():
@@ -400,7 +406,10 @@ def sgd_step(model: TTRNNModel, grads: dict, lr: float) -> TTRNNModel:
     for name, p in params.items():
         if np.shape(grads[name]) != p.shape:
             raise ShapeMismatch(f"{name}: gradient shape {np.shape(grads[name])} != {p.shape}")
-    return TTRNNModel.from_params({name: p - lr * grads[name] for name, p in params.items()})
+    for name, p in params.items():
+        new = np.multiply(lr, grads[name])
+        params[name] = np.subtract(p, new, out=new)
+    return TTRNNModel.from_params(params)
 
 
 def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNModel:
@@ -477,7 +486,9 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
                 )
             total += mean_loss * len(batch)
             grads = backward(model, batch, cache)
+            del cache
             model = sgd_step(model, grads, config.learning_rate)
+            del grads  # nothing a step made lives into the next step
         epoch_losses.append(total / n)
         snapshots.append([c.copy() for c in model.cores])
     log = TrainLog(epoch_losses=epoch_losses, core_snapshots=snapshots)
@@ -506,26 +517,32 @@ def evaluate(model: TTRNNModel, dataset):
 # checkpoint has the same layout with decimal dense lines.
 
 
-def _b64_values(arr: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F")).decode("ascii")
+def _b64_values(arr: np.ndarray) -> bytes:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F"))
 
 
-def _parse_b64_values(line: bytes, shape) -> np.ndarray:
-    """Decode a :func:`_b64_values` line into an owned, writable float64 array."""
+def _parse_b64_values(line: memoryview, shape) -> np.ndarray:
+    """Decode a :func:`_b64_values` line into an owned, writable float64 array.
+
+    ``line`` is released once its bytes are decoded, so the text it views
+    can be freed before the array is made.
+    """
     try:
-        raw = base64.b64decode(line, validate=True)
+        raw = binascii.a2b_base64(line, strict_mode=True)
     except ValueError:  # bad alphabet or padding, or a non-ASCII byte
         raise DataError("not valid base64") from None
+    finally:
+        line.release()
     want = 8 * element_count(shape)
     if len(raw) != want:
         raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {len(raw)}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").astype(np.float64)
 
 
-def _parse_decimal_values(line: bytes, shape) -> np.ndarray:
+def _parse_decimal_values(line: memoryview, shape) -> np.ndarray:
     """Decode a v1 dense line: decimal values in UTF-8 text."""
     try:
-        return _parse_values(line.decode("utf-8"), shape)
+        return _parse_values(str(line, "utf-8"), shape)
     except UnicodeDecodeError:
         raise DataError("not UTF-8 text") from None
 
@@ -544,10 +561,10 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
         format_tt_matrix(model.input_layer.weights).rstrip("\n"),
     ]
     params = dict(model.named_params())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "wb") as f:  # each dense line goes out as b64encode's bytes, uncopied
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in dense_shapes(model.hidden_size):
-            f.write(f"{name} {_b64_values(params[name])}\n")
+            f.writelines([name.encode("ascii"), b" ", _b64_values(params[name]), b"\n"])
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
@@ -589,10 +606,17 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     shapes = dense_shapes(weights.n_out)
     params = _named_cores(weights.cores)
     del lines[: 5 + n_modes]
-    while lines:  # popped, so a dense line is held once while it is decoded
-        name, _, values = lines.pop(0).partition(b" ")
-        name = name.decode("utf-8", "replace")
+    while lines:  # popped and its values viewed, not copied: a dense line is held once
+        line = lines.pop(0)
+        cut = line.find(b" ")
+        if cut < 0:
+            cut = len(line)
+        name = line[:cut].decode("utf-8", "replace")
+        values = memoryview(line)[cut + 1 :]
+        del line  # the view alone holds it, so the decoder can free it
         if name in shapes:
+            if name in params:
+                raise DataError(f"{path}: {name} line appears twice")
             try:
                 params[name] = decode(values, shapes[name])
             except DataError as exc:

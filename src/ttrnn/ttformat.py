@@ -256,14 +256,31 @@ def _ints(csv: str) -> tuple[int, ...]:
     return tuple(int(x) for x in csv.split(","))
 
 
+def header_fields(tokens) -> dict:
+    """The ``key=value`` tokens of a header line after its tag, as a dict of text values.
+
+    A token that is not one ``key=value`` pair, or a key given twice (a later
+    value would silently win), raises DataError naming it.
+    """
+    fields = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq or "=" in value:
+            raise DataError(f"malformed header field {token!r}")
+        if key in fields:
+            raise DataError(f"header key {key!r} appears twice")
+        fields[key] = value
+    return fields
+
+
 def _parse_block(text: str, tag: str, keys):
     """Header integer lists for ``keys`` (ranks last) and the core data lines."""
     lines = text.strip("\n").split("\n")
     head = lines[0].split()
     if not head or head[0] != tag:
         raise DataError(f"not a {tag} block: {lines[0]!r}")
+    fields = header_fields(head[1:])
     try:
-        fields = dict(kv.split("=") for kv in head[1:])
         values = [_ints(fields[k]) for k in keys]
     except (KeyError, ValueError):
         raise DataError(f"malformed {tag} header: {lines[0]!r}") from None

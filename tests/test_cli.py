@@ -2,12 +2,12 @@ import argparse
 import base64
 import json
 import os
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from memtrace import traced_peak
 from ttrnn.cli import build_parser, main
 from ttrnn.config import RunConfig
 from ttrnn.features import SynthConfig, synth_panel, write_panel
@@ -269,12 +269,7 @@ class TestBadInputExitCodes:
     def test_far_core_number_reported_without_listing_every_gap(self, tmp_path, capsys):
         log = tmp_path / "core_change.csv"
         log.write_text("core,epoch,normalized_change\n1,2,0.5\n1000000,2,0.5\n")
-        tracemalloc.start()
-        try:
-            code = main(["report-cores", "--log", str(log)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["report-cores", "--log", str(log)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
@@ -410,6 +405,27 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert f"{ckpt}: feedback: " in err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda lines: lines[:4] + [lines[4].replace(" out=", " out=9 out=")] + lines[5:],
+             "header key 'out' appears twice"),
+            # a second feedback line of zeros would otherwise replace the first
+            (lambda lines: lines[:12] + [lines[11]] + lines[12:], "feedback line appears twice"),
+        ],
+        ids=["core-block-header-key", "dense-line"],
+    )
+    def test_repeated_checkpoint_entry(self, tmp_path, capsys, damage, message):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        assert lines[4].startswith("ttmat ") and lines[11].startswith("feedback ")
+        ckpt.write_text("\n".join(damage(lines)) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: {message}\n", err
 
     def test_non_utf8_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "model.txt"

@@ -1,7 +1,6 @@
 import base64
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced_peak
 from oracles import (
     _tt_apply_one,
     _tt_core_grads_one,
@@ -250,6 +250,26 @@ class TestCrossEntropy:
         assert mean_loss == pytest.approx(float(independent), rel=1e-14)
 
 
+def mid_size_step(n_windows=16, n_steps=6):
+    """Hidden 4^4, 64 inputs: a (256, 256) feedback matrix, and stride-1 windows over shared days.
+
+    The dense map's gradient (256 x 64) and its core projection's
+    temporaries together stay under one feedback-sized array, so a memory
+    bound of one such array leaves no room for a second.
+    """
+    rng = np.random.default_rng(3)
+    model = init_model((2, 2, 4, 4), (4, 4, 4, 4), (1, 4, 4, 4, 1), rng)
+    days = [rand_input(rng, model.in_dims) for _ in range(n_steps + n_windows - 1)]
+    labels = rng.choice([1, 0, -1], size=n_windows)
+    batch = [(days[s : s + n_steps], int(labels[s])) for s in range(n_windows)]
+    return model, batch
+
+
+def step_buffer_bytes(model, batch):
+    """The bytes of one ``(B, M)`` step array."""
+    return len(batch) * model.hidden_size * 8
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -315,6 +335,22 @@ class TestBackward:
         _, cache = forward_batch(model, batch[:1])
         with pytest.raises(CacheMismatch):
             backward(model, batch, cache)
+
+    def test_holds_one_feedback_sized_array(self):
+        model, batch = mid_size_step()
+        _, cache = forward_batch(model, batch)
+        m, n_in = model.hidden_size, model.input_layer.weights.n_in
+        _, core_temps = traced_peak(_core_grads, model.cores, np.zeros((m, n_in)))
+        _, peak = traced_peak(backward, model, batch, cache)
+        d_pre = len(batch[0][0]) * step_buffer_bytes(model, batch)
+        d_input_map = 8 * m * n_in
+        feedback = 8 * m * m
+        assert d_input_map + core_temps < feedback  # so the bound has no room for a second one
+        # the pre-activation gradients, plus either the core projection's arrays or the
+        # feedback gradient, never both; the slack, three (B, M) step arrays, holds the
+        # last step's dh and the small gradients
+        bound = d_pre + max(d_input_map + core_temps, feedback) + 3 * step_buffer_bytes(model, batch)
+        assert peak < bound, (peak - bound) / feedback
 
 
 def draw_model(draw):
@@ -626,19 +662,12 @@ class TestEvaluate:
         model = init_model((2,) * 5, (2,) * 5, (1, 2, 2, 2, 2, 1), rng)
         days = [rand_input(rng, model.in_dims) for _ in range(209)]
         dataset = [(days[start : start + 10], 1) for start in range(200)]
-        model.input_layer.matrix  # built before tracing
+        evaluate(model, dataset)  # the dense map and the memo are built before tracing
         buffer = 200 * model.hidden_size * 8
-        gc.collect()
-        tracemalloc.start()
-        try:
-            evaluate(model, dataset)
-            gc.collect()
-            kept, peak = tracemalloc.get_traced_memory()  # kept: the memo
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(evaluate, model, dataset)
         assert len(model.input_layer.projected) == len(days)
-        # the ring's two buffers, the stacked inputs and the step lists; all 11 states need 11
-        assert peak - kept < 5 * buffer, (peak - kept) / buffer
+        # the ring's two buffers and the step lists; all 11 states need 11
+        assert peak < 5 * buffer, peak / buffer
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -742,6 +771,19 @@ class TestSGD:
         with pytest.raises(ShapeMismatch, match="differ at core3$"):
             sgd_step(model, grads, 0.1)
 
+    def test_allocates_one_parameter_set(self):
+        model, batch = mid_size_step()
+        grads = backward(model, batch, forward_batch(model, batch)[1])
+        before = [p.tobytes() for _, p in model.named_params()]
+        grads_before = {name: g.tobytes() for name, g in grads.items()}
+        stepped, peak = traced_peak(sgd_step, model, grads, 0.01)
+        params = sum(p.nbytes for _, p in model.named_params())
+        assert peak < params + 2**14, (peak - params) / params
+        assert [p.tobytes() for _, p in model.named_params()] == before
+        assert {name: g.tobytes() for name, g in grads.items()} == grads_before
+        for name, p in stepped.named_params():
+            assert p.tobytes() == (dict(model.named_params())[name] - 0.01 * grads[name]).tobytes()
+
 
 class TestFromParams:
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -800,6 +842,22 @@ class TestTrain:
         assert len(log.core_snapshots) == 4
         assert log.core_change.values.shape == (3, 3)  # cores x (epochs - 1)
         assert log.core_change.epochs == [2, 3, 4]
+
+    def test_second_step_holds_nothing_from_the_first(self):
+        model, batch = mid_size_step()
+        forward_batch(model, batch)  # the first model's dense map and memo, built before tracing
+        peaks = []
+        for epochs in (1, 2):  # one full batch per epoch: one SGD step, then two
+            cfg = TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=len(batch), seed=1)
+            peaks.append(traced_peak(train, model, batch, cfg)[1])
+        # step 2 runs on step 1's model while the caller still holds the first: it adds
+        # that model's parameters, dense map and projected days, and no step 1 array
+        params = sum(p.nbytes for _, p in model.named_params())
+        dense_map = model.input_layer.matrix.nbytes
+        days = len({id(x) for xs, _ in batch for x in xs}) * model.hidden_size * 8
+        second_model = params + dense_map + days
+        margin = peaks[1] - peaks[0] - second_model
+        assert margin < 2 * step_buffer_bytes(model, batch), margin / params
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -923,15 +981,10 @@ class TestCheckpoint:
         path = tmp_path / "model.txt"
         save_model(model, path)
         dense = sum(map(len, path.read_bytes().split(b"\n")[-5:]))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the feedback line (4/3 of its 8-byte values), its decoded bytes and its array
-        assert peak < 2.6 * dense, peak / dense
+        _, peak = traced_peak(load_model, path)
+        # the file's bytes and its lines, together while the file is split; a dense
+        # line's text is freed once decoded, before its array is made
+        assert peak < 2.1 * dense, peak / dense
 
     def test_reads_v1(self, tmp_path):
         model = tiny_model(seed=23)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
+from ttrnn.errors import DataError
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
 from ttrnn.ttformat import (
     InvalidRank,
@@ -331,6 +332,21 @@ class TestSerialization:
         for a, b in zip(back.cores, tt.cores):
             assert np.array_equal(a, b)
         assert format_tt_vector(back) == text
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_tt_matrix, "ttmat out=9 in=2 out=2 ranks=1,1\n1.0 1.0 1.0 1.0\n",
+             "header key 'out' appears twice"),
+            (parse_tt_vector, "ttvec dims=2 ranks=1,1 ranks=1,1\n1.0 1.0\n",
+             "header key 'ranks' appears twice"),
+            (parse_tt_matrix, "ttmat in=2 out ranks=1,1\n1.0 1.0\n", "malformed header field 'out'"),
+        ],
+        ids=["repeated-out", "repeated-ranks", "field-without-value"],
+    )
+    def test_bad_header_field(self, parse, text, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse(text)
 
     def test_tt_matrix_text_roundtrip(self):
         rng = np.random.default_rng(22)
