@@ -193,11 +193,8 @@ def cmd_report_cores(args) -> int:
             with open(manifest_path) as f:
                 dims = json.load(f).get("config", {}).get("in_dims")
             if dims:
-                sizes = [int(x) for x in dims.split(",")]
-                if min(sizes) < 1:
-                    raise ValueError
-                labels = interpret.mode_labels(sizes)
-        except (AttributeError, ValueError):
+                labels = interpret.mode_labels(tensor.check_shape(ttformat._ints(dims)))
+        except (AttributeError, ValueError):  # ShapeError included
             raise DataError(
                 f"{manifest_path}: malformed run manifest (want JSON whose config.in_dims "
                 "is comma-separated positive integers)"
@@ -210,11 +207,9 @@ def cmd_report_cores(args) -> int:
     out_dir = args.out_dir or os.path.dirname(args.log) or "."
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "core_ranking.json")
-    interpret.write_ranking_json(log, json_path, labels=labels)
-    ranking = interpret.modal_ranking(log)
-    for core, total in ranking:
-        name = labels[core - 1] if labels else f"data mode {core}"
-        print(f"core {core} [{name}]: total normalized change {total:.3e}")
+    for row in interpret.write_ranking_json(log, json_path, labels=labels):
+        print("core {core} [{mode}]: total normalized change "
+              "{total_normalized_change:.3e}".format(**row))
     print(f"wrote {json_path}")
     return EXIT_OK
 
@@ -232,36 +227,16 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"--tol must be a number, got {args.tol!r}") from None
     try:
         with open(args.input) as f:
-            lines = f.read().strip("\n").split("\n")
+            t = ttformat.parse_tensor(f.read())
     except UnicodeDecodeError:
         raise DataError(f"{args.input}: not UTF-8 text") from None
-    head = lines[0].split()
-    try:
-        fields = ttformat.header_fields(head[1:])
     except DataError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    try:
-        if head[0] != "tensor" or len(lines) < 2:
-            raise ValueError
-        dims = ttformat._ints(fields["dims"])
-        if min(dims) < 1:
-            raise ValueError
-    except (IndexError, KeyError, ValueError):
-        raise DataError(
-            f"{args.input}: expected a 'tensor dims=...' header (positive sizes) "
-            "plus a data line"
-        ) from None
-    try:
-        t = tensor.DenseTensor(dims, ttformat._parse_values(lines[1], dims))
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
-    if not np.all(np.isfinite(t.data)):
-        raise DataError(f"{args.input}: tensor values must be finite")
     tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=tol)
     with open(args.out, "w") as f:
         f.write(ttformat.format_tt_vector(tt))
     rebuilt = ttformat.tt_reconstruct(tt)
-    err = tensor.frobenius_norm(tensor.DenseTensor(dims, rebuilt.data - t.data))
+    err = tensor.frobenius_norm(tensor.DenseTensor(t.shape, rebuilt.data - t.data))
     denom = tensor.frobenius_norm(t) or 1.0
     print(f"ranks {tt.ranks}, relative reconstruction error {err / denom:.3e}")
     print(f"wrote {args.out}")

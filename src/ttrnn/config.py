@@ -8,6 +8,8 @@ from .errors import ConfigError
 from .features import TENSOR_DIMS_5
 from .neural import TrainConfig, config_ranks
 from .rng import stream_rng  # re-exported: callers use it as config.stream_rng
+from .tensor import check_shape
+from .ttformat import _ints
 
 
 @dataclass
@@ -84,12 +86,9 @@ class RunConfig:
 
 def _dims(text: str, what: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {text!r}: {exc}") from None
-    if not dims or min(dims) < 1:
-        raise ConfigError(f"{what} must be positive integers, got {text!r}")
-    return dims
+        return check_shape(_ints(text))
+    except ValueError:  # ShapeError included
+        raise ConfigError(f"{what} must be positive integers, got {text!r}") from None
 
 
 # field type -> converter; each f.type is a string under ``from __future__ import annotations``

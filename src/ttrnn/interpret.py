@@ -112,6 +112,9 @@ def read_core_change_csv(path) -> CoreChangeLog:
     """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        for column in ("core", "epoch", "normalized_change"):
+            if (reader.fieldnames or []).count(column) > 1:
+                raise DataError(f"{path}: column {column!r} appears twice")
         try:
             rows = [
                 (reader.line_num, int(row["core"]), int(row["epoch"]),
@@ -141,7 +144,7 @@ def read_core_change_csv(path) -> CoreChangeLog:
     return CoreChangeLog(core_shapes=[() for _ in cores], epochs=epochs, values=values)
 
 
-def write_ranking_json(log: CoreChangeLog, path, labels=None):
+def write_ranking_json(log: CoreChangeLog, path, labels=None) -> list:
     ranking = modal_ranking(log)
     if labels is None:
         labels = [f"data mode {n + 1}" for n in range(log.n_cores)]
@@ -159,3 +162,4 @@ def write_ranking_json(log: CoreChangeLog, path, labels=None):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+    return payload["ranking"]

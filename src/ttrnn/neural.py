@@ -24,7 +24,7 @@ import numpy as np
 from . import interpret
 from .errors import ConfigError, DataError, ShapeError
 from .rng import stream_rng
-from .tensor import DenseTensor, element_count
+from .tensor import DenseTensor, check_shape, element_count
 from .ttformat import (
     InvalidRank,
     TTMatrix,
@@ -570,57 +570,45 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
 def load_model(path) -> tuple[TTRNNModel, dict]:
     """Read a :func:`save_model` checkpoint, or a v1 one with decimal dense lines.
 
-    The file is read as bytes: the header and the TT core block are decoded
-    as UTF-8 text, and each dense line goes to its version's decoder as is.
-    A malformed file or a non-finite parameter value raises DataError.
+    Read a line at a time: the 4 header lines and the ``ttmat`` core block are
+    UTF-8 text, and each dense line goes to its version's decoder as is.  A
+    malformed file or a non-finite parameter value raises DataError.
     """
-
-    def text(block) -> str:
+    with open(path, "rb") as f:
         try:
-            return b"\n".join(block).decode("utf-8")
+            magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
+            decode = _DENSE_DECODERS.get(magic)
+            if decode is None:
+                raise DataError(f"not a model checkpoint: {magic!r}")
+            (k1, seed), (k2, epoch), (k3, dims) = (line.split() for line in head)
+            meta = {"seed": int(seed), "epoch": int(epoch)}
+            hidden_dims = check_shape(_ints(dims))
+            if (k1, k2, k3) != ("seed", "epoch", "hidden_dims"):
+                raise ValueError
+            block = b"".join(f.readline() for _ in range(len(hidden_dims) + 1))
+            weights = parse_tt_matrix(block.decode("utf-8"))
+            if weights.out_dims != hidden_dims:
+                raise DataError(f"hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
-
-    with open(path, "rb") as f:
-        lines = f.read().split(b"\n")
-    head = text(lines[:4]).split("\n")
-    decode = _DENSE_DECODERS.get(head[0])
-    if decode is None:
-        raise DataError(f"{path}: not a model checkpoint: {head[0]!r}")
-    try:
-        meta = {
-            "seed": int(head[1].split()[1]),
-            "epoch": int(head[2].split()[1]),
-        }
-        hidden_dims = _ints(head[3].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path}: malformed checkpoint header") from None
-    n_modes = len(hidden_dims)
-    block = text(lines[4 : 5 + n_modes])
-    try:
-        weights = parse_tt_matrix(block)
-    except (DataError, ShapeError) as exc:  # a damaged core block is bad data
-        raise DataError(f"{path}: {exc}") from None
-    if weights.out_dims != hidden_dims:
-        raise DataError(f"{path}: hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
-    shapes = dense_shapes(weights.n_out)
-    params = _named_cores(weights.cores)
-    del lines[: 5 + n_modes]
-    while lines:  # popped and its values viewed, not copied: a dense line is held once
-        line = lines.pop(0)
-        cut = line.find(b" ")
-        if cut < 0:
-            cut = len(line)
-        name = line[:cut].decode("utf-8", "replace")
-        values = memoryview(line)[cut + 1 :]
-        del line  # the view alone holds it, so the decoder can free it
-        if name in shapes:
-            if name in params:
-                raise DataError(f"{path}: {name} line appears twice")
-            try:
-                params[name] = decode(values, shapes[name])
-            except DataError as exc:
-                raise DataError(f"{path}: {name}: {exc}") from None
+        except DataError as exc:  # the core block reader's message
+            raise DataError(f"{path}: {exc}") from None
+        except ValueError:  # a header line with another key, or a bad value
+            raise DataError(f"{path}: malformed checkpoint header") from None
+        shapes = dense_shapes(weights.n_out)
+        params = _named_cores(weights.cores)
+        for line in f:  # its values viewed, not copied: a dense line is held once
+            cut = line.find(b" ")  # a line without a name is skipped, as unknown names are
+            name = line[:cut].decode("utf-8", "replace") if cut >= 0 else ""
+            values = memoryview(line)[cut + 1 : len(line) - line.endswith(b"\n")]
+            del line  # the view alone holds it, so the decoder can free it
+            if name in shapes:
+                if name in params:
+                    raise DataError(f"{path}: {name} line appears twice")
+                try:
+                    params[name] = decode(values, shapes[name])
+                except DataError as exc:
+                    raise DataError(f"{path}: {name}: {exc}") from None
     missing = [name for name in shapes if name not in params]
     if missing:
         raise DataError(f"{path}: checkpoint has no {', '.join(missing)} line")

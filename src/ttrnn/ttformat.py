@@ -233,9 +233,9 @@ def dense_param_count(in_dims, out_dims) -> int:
 
 # --- text serialization -----------------------------------------------------
 #
-# One header line carrying dims and ranks, then one line of flat core data
-# per core, fastest-index-first, as decimal floating point.  Used by the
-# model checkpoint files.
+# A block is a ``tag key=a,b ...`` header of positive integer lists, then data
+# lines of decimal floats, fastest-index-first: one per core of a TT vector or
+# matrix (a checkpoint's core block is ``ttmat``), one in a ``tensor`` file.
 
 
 def _fmt_values(arr: np.ndarray) -> str:
@@ -273,54 +273,68 @@ def header_fields(tokens) -> dict:
     return fields
 
 
+def _format_block(tag: str, fields: dict, lines) -> str:
+    header = " ".join([tag] + [f"{k}={','.join(map(str, v))}" for k, v in fields.items()])
+    return "\n".join([header, *lines]) + "\n"
+
+
 def _parse_block(text: str, tag: str, keys):
-    """Header integer lists for ``keys`` (ranks last) and the core data lines."""
+    """The positive integer lists a ``tag`` header gives for ``keys``, and the lines below it."""
     lines = text.strip("\n").split("\n")
     head = lines[0].split()
+    want = " ".join([tag] + [f"{k}=..." for k in keys])
     if not head or head[0] != tag:
-        raise DataError(f"not a {tag} block: {lines[0]!r}")
+        raise DataError(f"expected a {want!r} header, got {lines[0]!r}")
     fields = header_fields(head[1:])
     try:
-        values = [_ints(fields[k]) for k in keys]
-    except (KeyError, ValueError):
-        raise DataError(f"malformed {tag} header: {lines[0]!r}") from None
-    n = len(values[0])
-    if any(len(v) != n for v in values[:-1]) or len(values[-1]) != n + 1:
-        raise DataError(f"{tag} header dims and ranks disagree: {lines[0]!r}")
-    if len(lines) != 1 + n:
+        return [check_shape(_ints(fields[k])) for k in keys], lines[1:]
+    except (KeyError, ValueError, ShapeError):
+        raise DataError(
+            f"expected a {want!r} header of positive integer lists, got {lines[0]!r}"
+        ) from None
+
+
+def _parse_cores(text: str, tag: str, dim_keys) -> list:
+    """The cores of a TT block: ``dim_keys`` give each core's middle modes, ``ranks`` its links."""
+    (*dims, ranks), data = _parse_block(text, tag, dim_keys + ("ranks",))
+    n = len(dims[0])
+    if any(len(d) != n for d in dims):
+        raise DataError(f"{tag} header: {' and '.join(dim_keys)} differ in mode count")
+    try:
+        check_ranks(ranks, n)
+    except InvalidRank as exc:
+        raise DataError(f"{tag} header: {exc}") from None
+    if len(data) != n:
         raise DataError("core data line count does not match dims")
-    return values, lines[1:]
+    return [
+        _parse_values(line, (ranks[k], *(d[k] for d in dims), ranks[k + 1]))
+        for k, line in enumerate(data)
+    ]
 
 
 def format_tt_vector(v: TTVector) -> str:
-    header = "ttvec dims={} ranks={}".format(
-        ",".join(map(str, v.dims)), ",".join(map(str, v.ranks))
-    )
-    return "\n".join([header] + [_fmt_values(c) for c in v.cores]) + "\n"
+    return _format_block("ttvec", {"dims": v.dims, "ranks": v.ranks}, map(_fmt_values, v.cores))
 
 
 def parse_tt_vector(text: str) -> TTVector:
-    (dims, ranks), data = _parse_block(text, "ttvec", ("dims", "ranks"))
-    cores = [
-        _parse_values(line, (ranks[n], dims[n], ranks[n + 1]))
-        for n, line in enumerate(data)
-    ]
-    return TTVector(cores)
+    return TTVector(_parse_cores(text, "ttvec", ("dims",)))
 
 
 def format_tt_matrix(w: TTMatrix) -> str:
-    header = "ttmat in={} out={} ranks={}".format(
-        ",".join(map(str, w.in_dims)),
-        ",".join(map(str, w.out_dims)),
-        ",".join(map(str, w.ranks)),
-    )
-    return "\n".join([header] + [_fmt_values(c) for c in w.cores]) + "\n"
+    fields = {"in": w.in_dims, "out": w.out_dims, "ranks": w.ranks}
+    return _format_block("ttmat", fields, map(_fmt_values, w.cores))
 
 
 def parse_tt_matrix(text: str) -> TTMatrix:
-    (in_dims, out_dims, ranks), data = _parse_block(text, "ttmat", ("in", "out", "ranks"))
-    cores = [
-        _parse_values(line, (ranks[n], in_dims[n], out_dims[n], ranks[n + 1]))
-        for n, line in enumerate(data)
-    ]
-    return TTMatrix(cores)
+    return TTMatrix(_parse_cores(text, "ttmat", ("in", "out")))
+
+
+def parse_tensor(text: str) -> DenseTensor:
+    """Read a ``tensor dims=..`` block: its header, then one line of finite values."""
+    (dims,), data = _parse_block(text, "tensor", ("dims",))
+    if len(data) != 1:
+        raise DataError(f"expected one data line after the tensor header, got {len(data)}")
+    t = DenseTensor(dims, _parse_values(data[0], dims))
+    if not np.all(np.isfinite(t.data)):
+        raise DataError("tensor values must be finite")
+    return t

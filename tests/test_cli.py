@@ -296,6 +296,14 @@ class TestBadInputExitCodes:
         assert f"{log}: {where}" in err
         assert not (tmp_path / "core_ranking.json").exists()
 
+    def test_repeated_core_change_column(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change,normalized_change\n1,2,0.5,x\n")
+        assert main(["report-cores", "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {log}: column 'normalized_change' appears twice\n", err
+        assert not (tmp_path / "core_ranking.json").exists()
+
     @pytest.mark.parametrize(
         "hidden_dims, message",
         [
@@ -426,6 +434,21 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: {message}\n", err
+
+    def test_core_block_header_with_two_negative_sizes(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        # core0 keeps its 1 * (-2) * (-2) * 2 = 8 values, so only the sizes' signs are wrong
+        lines[4] = lines[4].replace("in=2,", "in=-2,").replace("out=2,", "out=-2,")
+        assert lines[4].startswith("ttmat in=-2,2,5,6,4 out=-2,2,2,2,2 ")
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: expected a 'ttmat in=... out=... ranks=...' "
+                              "header of positive integer lists"), err
+        assert err.count("\n") == 1, err
 
     def test_non_utf8_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "model.txt"

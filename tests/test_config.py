@@ -76,6 +76,21 @@ def test_model_layers_import_no_settings_or_pipeline_module():
         assert not imported & {"config", "features", "cli", "backtest"}, (name, imported)
 
 
+def test_comma_lists_and_header_blocks_are_read_only_in_ttformat():
+    """cli, config and neural call neither header_fields nor .split(",")."""
+    package = Path(ttrnn.__file__).parent
+    for name in ("cli", "config", "neural"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            assert called != "header_fields", (name, node.lineno)
+            comma = [a for a in node.args if isinstance(a, ast.Constant) and a.value == ","]
+            assert not (called == "split" and comma), (name, node.lineno)
+
+
 def test_readme_config_key_table_matches_run_config():
     """README's "Config keys" table lists RunConfig's fields, in order, with their defaults."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

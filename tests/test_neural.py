@@ -1,6 +1,7 @@
 import base64
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -23,7 +24,7 @@ from oracles import (
 )
 from ttrnn import neural
 from ttrnn.config import stream_rng
-from ttrnn.errors import ConfigError
+from ttrnn.errors import ConfigError, DataError
 from ttrnn.neural import (
     CacheMismatch,
     EmptyDataset,
@@ -931,6 +932,24 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(model.named_params(), back.named_params()):
             assert na == nb
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+            lambda lines: lines[:3] + [lines[3].replace("hidden_dims", "any_word")] + lines[4:],
+            lambda lines: [lines[0], "seed 5 6"] + lines[2:],
+        ],
+        ids=["seed-and-epoch-swapped", "other-dims-key", "extra-value"],
+    )
+    def test_header_keys_are_checked(self, tmp_path, damage):
+        path = tmp_path / "model.txt"
+        save_model(tiny_model(seed=25), path, seed=5, epoch=3)
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(damage(lines)))
+        message = f"{path}: malformed checkpoint header"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_model(path)
 
     def test_v2_layout(self, tmp_path):
         model = tiny_model(seed=21)

@@ -1,13 +1,14 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
-from ttrnn.errors import DataError
+from ttrnn.errors import DataError, ShapeError
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
 from ttrnn.ttformat import (
     InvalidRank,
@@ -22,6 +23,7 @@ from ttrnn.ttformat import (
     format_tt_vector,
     mpo_reconstruct,
     mpo_to_matrix,
+    parse_tensor,
     parse_tt_matrix,
     parse_tt_vector,
     tt_param_count,
@@ -355,3 +357,84 @@ class TestSerialization:
         back = parse_tt_matrix(format_tt_matrix(w))
         for a, b in zip(back.cores, w.cores):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            # the two sizes' product is positive, so the value count alone cannot catch them
+            (parse_tt_matrix, "ttmat in=-1 out=-1 ranks=1,1\n1.0\n", "of positive integer lists"),
+            (parse_tt_vector, "ttvec dims=0 ranks=1,1\n\n", "of positive integer lists"),
+            (parse_tt_vector, "ttvec dims=2 ranks=1,0\n1.0 1.0\n", "of positive integer lists"),
+            (parse_tt_vector, "ttvec dims=1 ranks=2,2\n1.0 1.0 1.0 1.0\n",
+             "ttvec header: boundary ranks must be 1"),
+            (parse_tt_vector, "ttvec dims=1,1 ranks=1,1\n1.0\n1.0\n",
+             "ttvec header: ranks need 3 entries for 2 modes"),
+            (parse_tt_matrix, "ttmat in=1,1 out=1 ranks=1,1,1\n1.0\n1.0\n",
+             "ttmat header: in and out differ in mode count"),
+        ],
+        ids=["two-negative-sizes", "zero-size", "zero-rank", "boundary-rank", "rank-count",
+             "in-out-mode-count"],
+    )
+    def test_bad_block_header_is_data_error(self, parse, text, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            parse(text)
+
+    def test_tensor_text(self):
+        t = parse_tensor("tensor dims=2,3\n" + " ".join(map(str, range(6))) + "\n")
+        assert t.shape == (2, 3) and t.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        for text, message in [
+            ("tensor dims=2\n1.0 2.0\n1.0 2.0\n", "expected one data line"),
+            ("ttvec dims=2\n1.0 2.0\n", "expected a 'tensor dims=...' header"),
+            ("tensor dims=2\n1.0 inf\n", "tensor values must be finite"),
+        ]:
+            with pytest.raises(DataError, match=re.escape(message)):
+                parse_tensor(text)
+
+
+# one valid block per reader, each header number and value a mutation target
+VALID_BLOCKS = {
+    "ttvec": (parse_tt_vector, "ttvec dims=2,1 ranks=1,2,1\n0.5 -1.5 2.0 3e-05\n1.0 -2.0\n"),
+    "ttmat": (parse_tt_matrix,
+              "ttmat in=2,1 out=1,2 ranks=1,2,1\n1.0 2.0 3.0 4.0\n5.0 6.0 7.0 8.0\n"),
+    "tensor": (parse_tensor, "tensor dims=2,2\n1.0 -2.5 0.0 4e+10\n"),
+}
+BAD_NUMBERS = ["-1", "0", "x", "nan", "1e999", ""]
+
+
+@st.composite
+def mutated_blocks(draw):
+    """A valid block damaged 1-3 times: a line dropped or duplicated, the text cut, or a
+    header number or value replaced by a bad one."""
+    kind = draw(st.sampled_from(sorted(VALID_BLOCKS)))
+    text = VALID_BLOCKS[kind][1]
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        numbers = [m.span() for m in re.finditer(r"-?[0-9][0-9.e+-]*", text)]
+        how = draw(st.sampled_from(["drop", "duplicate", "truncate", "replace"]))
+        if how in ("drop", "duplicate"):
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k:k + 1] = [] if how == "drop" else [lines[k]] * 2
+            text = "\n".join(lines)
+        elif how == "truncate" or not numbers:
+            text = text[: draw(st.integers(0, len(text)))]
+        else:
+            start, end = draw(st.sampled_from(numbers))
+            text = text[:start] + draw(st.sampled_from(BAD_NUMBERS)) + text[end:]
+    return kind, text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_blocks())
+@example(("ttmat", "ttmat in=-1 out=-1 ranks=1,1\n1.0\n"))
+def test_block_readers_raise_only_data_or_shape_errors(case):
+    kind, text = case
+    try:
+        VALID_BLOCKS[kind][0](text)
+    except (DataError, ShapeError):
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_BLOCKS))
+def test_unmutated_blocks_parse(kind):
+    parse, text = VALID_BLOCKS[kind]
+    parse(text)
