@@ -8,14 +8,13 @@ log return; profits accumulate additively.  No transaction costs.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, LengthMismatch
+from .files import write_csv, write_json
 from .neural import LABELS
 
 TRADING_DAYS_PER_YEAR = 252
@@ -138,27 +137,14 @@ def write_report_json(report: BacktestReport, path):
 
     payload = block(report)
     payload["baseline"] = block(report.baseline)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def write_track_csv(report: BacktestReport, dates, path):
     """Daily track record, plottable as a cumulative-profit chart."""
     if len(dates) != report.daily_returns.size:
         raise LengthMismatch("dates do not align with the track record")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["date", "position", "daily_return", "cumulative_profit", "baseline_cumulative"]
-        )
-        for t, date in enumerate(dates):
-            w.writerow(
-                [
-                    date,
-                    repr(float(report.daily_positions[t])),
-                    repr(float(report.daily_returns[t])),
-                    repr(float(report.cumulative_profit[t])),
-                    repr(float(report.baseline.cumulative_profit[t])),
-                ]
-            )
+    table = np.column_stack([report.daily_positions, report.daily_returns,
+                             report.cumulative_profit, report.baseline.cumulative_profit])
+    header = ["date", "position", "daily_return", "cumulative_profit", "baseline_cumulative"]
+    write_csv(path, header, ([date, *values] for date, values in zip(dates, table.tolist())))

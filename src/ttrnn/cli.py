@@ -26,6 +26,7 @@ from . import features as feat
 from . import interpret, neural, tensor, ttformat
 from .config import RunConfig, build_config, parse_config_file
 from .errors import ConfigError, DataError, ShapeError
+from .files import reading, replacing, write_csv, write_json
 from .rng import stream_rng
 
 EXIT_OK = 0
@@ -106,11 +107,8 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, "checkpoint.txt")
     neural.save_model(model, ckpt, seed=cfg.seed, epoch=cfg.epochs)
-    losses_path = os.path.join(cfg.out_dir, "epoch_losses.csv")
-    with open(losses_path, "w") as f:
-        f.write("epoch,mean_loss\n")
-        for e, loss in enumerate(log.epoch_losses, start=1):
-            f.write(f"{e},{loss!r}\n")
+    write_csv(os.path.join(cfg.out_dir, "epoch_losses.csv"), ["epoch", "mean_loss"],
+              enumerate(log.epoch_losses, start=1))
     if log.core_change is not None:
         interpret.write_core_change_csv(
             log.core_change, os.path.join(cfg.out_dir, "core_change.csv")
@@ -127,9 +125,7 @@ def cmd_train(args) -> int:
         "train_samples": len(dataset),
         "final_train_loss": log.epoch_losses[-1],
     }
-    with open(os.path.join(cfg.out_dir, "run_manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(cfg.out_dir, "run_manifest.json"), manifest)
     print(
         f"trained {cfg.epochs} epochs on {len(dataset)} samples; "
         f"TT input layer parameters: {tt_params} "
@@ -225,15 +221,10 @@ def cmd_decompose(args) -> int:
         tol = None if args.tol is None else float(args.tol)
     except ValueError:
         raise ConfigError(f"--tol must be a number, got {args.tol!r}") from None
-    try:
-        with open(args.input) as f:
-            t = ttformat.parse_tensor(f.read())
-    except UnicodeDecodeError:
-        raise DataError(f"{args.input}: not UTF-8 text") from None
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
+    with reading(args.input), open(args.input) as f:
+        t = ttformat.parse_tensor(f.read())
     tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=tol)
-    with open(args.out, "w") as f:
+    with replacing(args.out) as f:
         f.write(ttformat.format_tt_vector(tt))
     rebuilt = ttformat.tt_reconstruct(tt)
     err = tensor.frobenius_norm(tensor.DenseTensor(t.shape, rebuilt.data - t.data))

@@ -15,10 +15,8 @@ up to day t; labels look exactly one day ahead.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -26,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
+from .files import csv_rows, reading, write_csv
 from .rng import stream_rng
 from .tensor import DenseTensor, reshape
 
@@ -467,46 +466,16 @@ MANIFEST_HEADER = ["symbol", "asset_class", "class_slot", "path"]
 
 
 def write_panel(panel: AssetPanel, out_dir) -> str:
-    """One CSV per instrument plus a manifest; returns the manifest path."""
+    """One CSV per instrument plus a manifest, written last; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.csv")
     table = np.stack([getattr(panel, name) for name in PANEL_SERIES], axis=-1)  # (T, 24, 5)
-    with open(manifest_path, "w", newline="") as mf:
-        mw = csv.writer(mf)
-        mw.writerow(MANIFEST_HEADER)
-        for k, meta in enumerate(panel.instruments):
-            fname = f"{meta.symbol}.csv"
-            mw.writerow([meta.symbol, meta.asset_class, meta.class_slot, fname])
-            with open(os.path.join(out_dir, fname), "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(PANEL_HEADER)
-                w.writerows(
-                    [date, *map(repr, values)]
-                    for date, values in zip(panel.dates, table[:, k].tolist())
-                )
+    for k, meta in enumerate(panel.instruments):
+        rows = ([date, *values] for date, values in zip(panel.dates, table[:, k].tolist()))
+        write_csv(os.path.join(out_dir, f"{meta.symbol}.csv"), PANEL_HEADER, rows)
+    manifest_path = os.path.join(out_dir, "manifest.csv")
+    rows = ([m.symbol, m.asset_class, m.class_slot, f"{m.symbol}.csv"] for m in panel.instruments)
+    write_csv(manifest_path, MANIFEST_HEADER, rows)
     return manifest_path
-
-
-def _csv_rows(f, path, header):
-    """The header's columns, in header order, of each non-blank row of an open CSV.
-
-    The first row must name each of them once.  Missing cells of a short row
-    read None; text that is not UTF-8 raises DataError.
-    """
-    reader = csv.reader(f)
-    try:
-        names = next(reader, [])
-        missing = [c for c in header if c not in names]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        repeated = [c for c in header if names.count(c) > 1]
-        if repeated:
-            raise DataError(f"{path}: column {repeated[0]!r} appears twice")
-        pick = operator.itemgetter(*map(names.index, header))
-        for row in filter(None, reader):
-            yield pick(row + [None] * (len(names) - len(row)))
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _is_iso_date(text) -> bool:
@@ -521,14 +490,14 @@ def read_manifest(manifest_path) -> list:
     """The (instrument, file path) of each manifest row, in file order."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
-    with open(manifest_path, newline="") as f:
-        for row in _csv_rows(f, manifest_path, MANIFEST_HEADER):
+    with reading(manifest_path), open(manifest_path, newline="") as f:
+        for _, row in csv_rows(f, MANIFEST_HEADER):
             symbol, asset_class, slot, rel_path = row
             try:
                 meta = InstrumentMeta(symbol, asset_class, int(slot))
                 entries.append((meta, os.path.join(base, rel_path)))
             except (TypeError, ValueError):
-                raise DataError(f"{manifest_path}: bad manifest row {row}") from None
+                raise DataError(f"bad manifest row {row}") from None
     return entries
 
 
@@ -546,20 +515,20 @@ def load_panel(manifest_path) -> AssetPanel:
     iso_dates = set()  # each distinct date string is checked once
     for _, path in entries:
         rows = {}
-        with open(path, newline="") as f:
-            for date, *values in _csv_rows(f, path, PANEL_HEADER):
+        with reading(path), open(path, newline="") as f:
+            for _, (date, *values) in csv_rows(f, PANEL_HEADER):
                 if date not in iso_dates:
                     if not _is_iso_date(date):
-                        raise DataError(f"{path}: date {date!r} is not a YYYY-MM-DD date")
+                        raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
                     iso_dates.add(date)
                 if date in rows:
-                    raise MisalignedDates(f"{path}: duplicate date {date}")
+                    raise MisalignedDates(f"duplicate date {date}")
                 try:
                     rows[date] = tuple(map(float, values))
                 except (TypeError, ValueError):
-                    raise DataError(f"{path}: non-numeric value on {date}") from None
+                    raise DataError(f"non-numeric value on {date}") from None
                 if not all(map(math.isfinite, rows[date])):
-                    raise DataError(f"{path}: non-finite value on {date}")
+                    raise DataError(f"non-finite value on {date}")
         per_instrument.append(rows)
         common = set(rows) if common is None else common & set(rows)
     if not common:
@@ -576,12 +545,8 @@ def load_panel(manifest_path) -> AssetPanel:
 
 def dump_features_csv(fp: FeaturePanel, path):
     """Audit dump of raw (pre-normalization) features, one row per date per instrument."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["date", "symbol"] + list(FEATURE_NAMES))
-        # (T, 20, slot, class) -> (T, 24 canonical columns, 20)
-        per_inst = fp.raw.transpose(0, 3, 2, 1).reshape(fp.n_days, N_INSTRUMENTS, N_FEATURES)
-        for date, day in zip(fp.dates, per_inst.tolist()):
-            w.writerows(
-                [date, symbol, *map(repr, values)] for symbol, values in zip(fp.symbols, day)
-            )
+    # (T, 20, slot, class) -> (T, 24 canonical columns, 20)
+    per_inst = fp.raw.transpose(0, 3, 2, 1).reshape(fp.n_days, N_INSTRUMENTS, N_FEATURES)
+    rows = ([date, symbol, *values] for date, day in zip(fp.dates, per_inst.tolist())
+            for symbol, values in zip(fp.symbols, day))
+    write_csv(path, ["date", "symbol", *FEATURE_NAMES], rows)

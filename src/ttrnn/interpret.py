@@ -8,14 +8,13 @@ model leaned on.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .files import csv_rows, reading, write_csv, write_json
 
 
 class ShapeDrift(ShapeError):
@@ -99,47 +98,39 @@ def mode_labels(dims) -> list:
     return [f"data mode {n + 1} (size {d})" for n, d in enumerate(dims)]
 
 
+CORE_CHANGE_HEADER = ["core", "epoch", "normalized_change"]
+
+
 def write_core_change_csv(log: CoreChangeLog, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["core", "epoch", "normalized_change"])
-        for n in range(log.n_cores):
-            for k, e in enumerate(log.epochs):
-                writer.writerow([n + 1, e, repr(float(log.values[n, k]))])
+    rows = ([n + 1, e, value] for n, changes in enumerate(log.values.tolist())
+            for e, value in zip(log.epochs, changes))
+    write_csv(path, CORE_CHANGE_HEADER, rows)
 
 
 def read_core_change_csv(path) -> CoreChangeLog:
     """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for column in ("core", "epoch", "normalized_change"):
-            if (reader.fieldnames or []).count(column) > 1:
-                raise DataError(f"{path}: column {column!r} appears twice")
-        try:
-            rows = [
-                (reader.line_num, int(row["core"]), int(row["epoch"]),
-                 float(row["normalized_change"]))
-                for row in reader
-            ]
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: malformed core-change line {reader.line_num}") from None
     cells = {}
-    for line, core, epoch, value in rows:
-        if core < 1:
-            raise DataError(f"{path}: line {line}: core {core} is not >= 1")
-        if (core, epoch) in cells:
-            raise DataError(f"{path}: line {line}: duplicate row for core {core} epoch {epoch}")
-        if not (math.isfinite(value) and value >= 0.0):
-            raise DataError(f"{path}: line {line}: change {value!r} is not finite and >= 0")
-        cells[core, epoch] = value
-    if not cells:
-        raise DataError(f"no core-change rows in {path}")
-    cores = range(1, max(core for core, _ in cells) + 1)
-    epochs = sorted({epoch for _, epoch in cells})
-    # a generator, not itertools.product, which would first copy every core number
-    missing = next(((c, e) for c in cores for e in epochs if (c, e) not in cells), None)
-    if missing:
-        raise DataError(f"{path}: no row for core {missing[0]} epoch {missing[1]}")
+    with reading(path), open(path, newline="") as f:
+        for line, (core, epoch, value) in csv_rows(f, CORE_CHANGE_HEADER):
+            try:
+                core, epoch, value = int(core), int(epoch), float(value)
+            except (TypeError, ValueError):
+                raise DataError(f"malformed core-change line {line}") from None
+            if core < 1:
+                raise DataError(f"line {line}: core {core} is not >= 1")
+            if (core, epoch) in cells:
+                raise DataError(f"line {line}: duplicate row for core {core} epoch {epoch}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DataError(f"line {line}: change {value!r} is not finite and >= 0")
+            cells[core, epoch] = value
+        if not cells:
+            raise DataError("no core-change rows")
+        cores = range(1, max(core for core, _ in cells) + 1)
+        epochs = sorted({epoch for _, epoch in cells})
+        # a generator, not itertools.product, which would first copy every core number
+        missing = next(((c, e) for c in cores for e in epochs if (c, e) not in cells), None)
+        if missing:
+            raise DataError(f"no row for core {missing[0]} epoch {missing[1]}")
     values = np.array([[cells[c, e] for e in epochs] for c in cores])
     return CoreChangeLog(core_shapes=[() for _ in cores], epochs=epochs, values=values)
 
@@ -159,7 +150,5 @@ def write_ranking_json(log: CoreChangeLog, path, labels=None) -> list:
         ],
         "epochs": log.epochs,
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)
     return payload["ranking"]

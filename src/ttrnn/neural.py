@@ -23,6 +23,7 @@ import numpy as np
 
 from . import interpret
 from .errors import ConfigError, DataError, ShapeError
+from .files import reading, replacing
 from .rng import stream_rng
 from .tensor import DenseTensor, check_shape, element_count
 from .ttformat import (
@@ -541,10 +542,7 @@ def _parse_b64_values(line: memoryview, shape) -> np.ndarray:
 
 def _parse_decimal_values(line: memoryview, shape) -> np.ndarray:
     """Decode a v1 dense line: decimal values in UTF-8 text."""
-    try:
-        return _parse_values(str(line, "utf-8"), shape)
-    except UnicodeDecodeError:
-        raise DataError("not UTF-8 text") from None
+    return _parse_values(str(line, "utf-8"), shape)
 
 
 # the dense-line decoder of each checkpoint version, keyed by its first line
@@ -561,7 +559,7 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
         format_tt_matrix(model.input_layer.weights).rstrip("\n"),
     ]
     params = dict(model.named_params())
-    with open(path, "wb") as f:  # each dense line goes out as b64encode's bytes, uncopied
+    with replacing(path, "wb") as f:  # each dense line goes out as b64encode's bytes, uncopied
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in dense_shapes(model.hidden_size):
             f.writelines([name.encode("ascii"), b" ", _b64_values(params[name]), b"\n"])
@@ -574,27 +572,23 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     UTF-8 text, and each dense line goes to its version's decoder as is.  A
     malformed file or a non-finite parameter value raises DataError.
     """
-    with open(path, "rb") as f:
+    with reading(path), open(path, "rb") as f:
+        magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
+        decode = _DENSE_DECODERS.get(magic)
+        if decode is None:
+            raise DataError(f"not a model checkpoint: {magic!r}")
         try:
-            magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
-            decode = _DENSE_DECODERS.get(magic)
-            if decode is None:
-                raise DataError(f"not a model checkpoint: {magic!r}")
             (k1, seed), (k2, epoch), (k3, dims) = (line.split() for line in head)
             meta = {"seed": int(seed), "epoch": int(epoch)}
             hidden_dims = check_shape(_ints(dims))
             if (k1, k2, k3) != ("seed", "epoch", "hidden_dims"):
                 raise ValueError
-            block = b"".join(f.readline() for _ in range(len(hidden_dims) + 1))
-            weights = parse_tt_matrix(block.decode("utf-8"))
-            if weights.out_dims != hidden_dims:
-                raise DataError(f"hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
-        except DataError as exc:  # the core block reader's message
-            raise DataError(f"{path}: {exc}") from None
         except ValueError:  # a header line with another key, or a bad value
-            raise DataError(f"{path}: malformed checkpoint header") from None
+            raise DataError("malformed checkpoint header") from None
+        block = b"".join(f.readline() for _ in range(len(hidden_dims) + 1))
+        weights = parse_tt_matrix(block.decode("utf-8"))
+        if weights.out_dims != hidden_dims:
+            raise DataError(f"hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
         shapes = dense_shapes(weights.n_out)
         params = _named_cores(weights.cores)
         for line in f:  # its values viewed, not copied: a dense line is held once
@@ -604,16 +598,16 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
             del line  # the view alone holds it, so the decoder can free it
             if name in shapes:
                 if name in params:
-                    raise DataError(f"{path}: {name} line appears twice")
+                    raise DataError(f"{name} line appears twice")
                 try:
                     params[name] = decode(values, shapes[name])
                 except DataError as exc:
-                    raise DataError(f"{path}: {name}: {exc}") from None
-    missing = [name for name in shapes if name not in params]
-    if missing:
-        raise DataError(f"{path}: checkpoint has no {', '.join(missing)} line")
-    model = TTRNNModel.from_params(params)
-    for name, values in model.named_params():
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{path}: {name} has non-finite values")
+                    raise DataError(f"{name}: {exc}") from None
+        missing = [name for name in shapes if name not in params]
+        if missing:
+            raise DataError(f"checkpoint has no {', '.join(missing)} line")
+        model = TTRNNModel.from_params(params)
+        for name, values in model.named_params():
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{name} has non-finite values")
     return model, meta

@@ -286,6 +286,9 @@ def _parse_block(text: str, tag: str, keys):
     if not head or head[0] != tag:
         raise DataError(f"expected a {want!r} header, got {lines[0]!r}")
     fields = header_fields(head[1:])
+    unexpected = [k for k in fields if k not in keys]
+    if unexpected:
+        raise DataError(f"unexpected header key {unexpected[0]!r}")
     try:
         return [check_shape(_ints(fields[k])) for k in keys], lines[1:]
     except (KeyError, ValueError, ShapeError):

@@ -304,6 +304,14 @@ class TestBadInputExitCodes:
         assert err == f"data error: {log}: column 'normalized_change' appears twice\n", err
         assert not (tmp_path / "core_ranking.json").exists()
 
+    def test_non_utf8_core_change_log(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_bytes(b"core,epoch,normalized_change\n1,2,0.5\xff\n")
+        assert main(["report-cores", "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {log}: not UTF-8 text\n", err
+        assert not (tmp_path / "core_ranking.json").exists()
+
     @pytest.mark.parametrize(
         "hidden_dims, message",
         [
@@ -434,6 +442,18 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: {message}\n", err
+
+    def test_core_block_header_with_stray_key(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        lines = ckpt.read_text().splitlines()
+        assert lines[4].startswith("ttmat ")
+        lines[4] += " inn=3"
+        ckpt.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: unexpected header key 'inn'\n", err
 
     def test_core_block_header_with_two_negative_sizes(self, tmp_path, capsys):
         ckpt = tmp_path / "model.txt"

@@ -350,6 +350,20 @@ class TestSerialization:
         with pytest.raises(DataError, match=f"^{message}$"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "parse, text, key",
+        [
+            (parse_tt_matrix, "ttmat in=2 out=2 ranks=1,1 inn=3\n1.0 1.0 1.0 1.0\n", "inn"),
+            (parse_tt_vector, "ttvec dims=2 rank=1 ranks=1,1\n1.0 1.0\n", "rank"),
+            (parse_tensor, "tensor dims=2 shape=2\n1.0 1.0\n", "shape"),
+        ],
+        ids=["ttmat", "ttvec", "tensor"],
+    )
+    def test_stray_header_key(self, parse, text, key):
+        """A key the block does not read is an error, not silently ignored."""
+        with pytest.raises(DataError, match=f"^unexpected header key '{key}'$"):
+            parse(text)
+
     def test_tt_matrix_text_roundtrip(self):
         rng = np.random.default_rng(22)
         cores = [rng.normal(size=(1, 2, 3, 2)), rng.normal(size=(2, 4, 3, 1))]
