@@ -37,11 +37,8 @@ EXIT_SHAPE = 4
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    with reading(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _settings(args) -> dict:
@@ -81,7 +78,6 @@ def cmd_features(args) -> int:
     cfg = build_config(_settings(args))
     panel, _ = _load_or_synth_panel(cfg)
     fp = feat.assemble(panel, cfg.target, cfg.split)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "features.csv")
     feat.dump_features_csv(fp, path)
     print(
@@ -104,7 +100,6 @@ def cmd_train(args) -> int:
     model = neural.init_model(in_dims, hidden_dims, ranks, stream_rng(cfg.seed, "init"))
     model, log = neural.train(model, dataset, cfg.train_config())
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt = os.path.join(cfg.out_dir, "checkpoint.txt")
     neural.save_model(model, ckpt, seed=cfg.seed, epoch=cfg.epochs)
     write_csv(os.path.join(cfg.out_dir, "epoch_losses.csv"), ["epoch", "mean_loss"],
@@ -156,15 +151,12 @@ def cmd_backtest(args) -> int:
                 f"{key} {given} disagrees with the checkpoint's {stored} ({args.checkpoint})"
             )
     _, test_samples = fp.samples(cfg.seq_len)
-    if not test_samples:
-        raise feat.InsufficientHistory("no test windows after the split")
     _loss, probs, _predicted = neural.evaluate(model, [s.pair for s in test_samples])
     labels = [s.label for s in test_samples]
     next_returns = np.array([fp.target_next_return[s.end_index] for s in test_samples])
     dates = [s.date for s in test_samples]
     report = bt.evaluate_predictions(probs, labels, next_returns)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     json_path = os.path.join(cfg.out_dir, "backtest.json")
     csv_path = os.path.join(cfg.out_dir, "track.csv")
     bt.write_report_json(report, json_path)
@@ -185,23 +177,19 @@ def cmd_report_cores(args) -> int:
     if args.manifest and not os.path.isfile(manifest_path):
         raise DataError(f"{manifest_path}: no such run manifest")
     if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as f:
+        with reading(manifest_path) as f:
+            try:
                 dims = json.load(f).get("config", {}).get("in_dims")
-            if dims:
-                labels = interpret.mode_labels(tensor.check_shape(ttformat._ints(dims)))
-        except (AttributeError, ValueError):  # ShapeError included
-            raise DataError(
-                f"{manifest_path}: malformed run manifest (want JSON whose config.in_dims "
-                "is comma-separated positive integers)"
-            ) from None
-        if labels is not None and len(labels) != log.n_cores:
-            raise DataError(
-                f"{manifest_path}: in_dims has {len(labels)} modes, the log has "
-                f"{log.n_cores} cores"
-            )
+                if dims:
+                    labels = interpret.mode_labels(tensor.check_shape(ttformat._ints(dims)))
+            except (AttributeError, ValueError):  # ShapeError and UnicodeDecodeError included
+                raise DataError(
+                    "malformed run manifest (want JSON whose config.in_dims "
+                    "is comma-separated positive integers)"
+                ) from None
+            if labels is not None and len(labels) != log.n_cores:
+                raise DataError(f"in_dims has {len(labels)} modes, the log has {log.n_cores} cores")
     out_dir = args.out_dir or os.path.dirname(args.log) or "."
-    os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "core_ranking.json")
     for row in interpret.write_ranking_json(log, json_path, labels=labels):
         print("core {core} [{mode}]: total normalized change "
@@ -221,7 +209,7 @@ def cmd_decompose(args) -> int:
         tol = None if args.tol is None else float(args.tol)
     except ValueError:
         raise ConfigError(f"--tol must be a number, got {args.tol!r}") from None
-    with reading(args.input), open(args.input) as f:
+    with reading(args.input) as f:
         t = ttformat.parse_tensor(f.read())
     tt = ttformat.tt_svd(t, max_ranks=max_ranks, tol=tol)
     with replacing(args.out) as f:

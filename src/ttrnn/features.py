@@ -467,7 +467,6 @@ MANIFEST_HEADER = ["symbol", "asset_class", "class_slot", "path"]
 
 def write_panel(panel: AssetPanel, out_dir) -> str:
     """One CSV per instrument plus a manifest, written last; returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
     table = np.stack([getattr(panel, name) for name in PANEL_SERIES], axis=-1)  # (T, 24, 5)
     for k, meta in enumerate(panel.instruments):
         rows = ([date, *values] for date, values in zip(panel.dates, table[:, k].tolist()))
@@ -490,10 +489,12 @@ def read_manifest(manifest_path) -> list:
     """The (instrument, file path) of each manifest row, in file order."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
-    with reading(manifest_path), open(manifest_path, newline="") as f:
+    with reading(manifest_path) as f:
         for _, row in csv_rows(f, MANIFEST_HEADER):
             symbol, asset_class, slot, rel_path = row
             try:
+                if not rel_path:  # joined to base, it would name the data directory
+                    raise ValueError
                 meta = InstrumentMeta(symbol, asset_class, int(slot))
                 entries.append((meta, os.path.join(base, rel_path)))
             except (TypeError, ValueError):
@@ -515,7 +516,7 @@ def load_panel(manifest_path) -> AssetPanel:
     iso_dates = set()  # each distinct date string is checked once
     for _, path in entries:
         rows = {}
-        with reading(path), open(path, newline="") as f:
+        with reading(path) as f:
             for _, (date, *values) in csv_rows(f, PANEL_HEADER):
                 if date not in iso_dates:
                     if not _is_iso_date(date):

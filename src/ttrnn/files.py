@@ -1,8 +1,10 @@
 """Run files: how the files of a run are read and written.
 
-A file from outside is read inside :func:`reading`, so its errors name it.
-Every artifact is written through :func:`replacing`, so a write that fails
-part-way leaves the old file, or none, where the artifact goes.
+A run file is opened here and nowhere else, its text as UTF-8 whatever the
+locale (:func:`_open`).  A file from outside is read through :func:`reading`,
+so its errors name it.  Every artifact is written through :func:`replacing`,
+so a write that fails part-way leaves the old file, or none, where the
+artifact goes.
 """
 
 from __future__ import annotations
@@ -16,15 +18,22 @@ import os
 from .errors import DataError
 
 
+def _open(path, mode):
+    """Open ``path`` with ``mode``: text as UTF-8 whatever the locale, its line ends as written."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    return open(path, mode, **text)
+
+
 @contextlib.contextmanager
-def reading(path):
-    """Raise what goes wrong while ``path`` is read as a DataError that names it.
+def reading(path, mode="r"):
+    """``path`` opened with ``mode``; what goes wrong while it is read is a DataError naming it.
 
     Text that is not UTF-8 gives ``"<path>: not UTF-8 text"``.  A DataError
     keeps its class, and it and a CSV syntax error get ``"<path>: "`` in front.
     """
     try:
-        yield
+        with _open(path, mode) as f:
+            yield f
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -57,14 +66,14 @@ def csv_rows(f, header):
 def replacing(path, mode="w"):
     """A new file, opened with ``mode``, that replaces ``path`` once the block ends.
 
-    It is written as ``<path>.part`` beside ``path`` and renamed over it.  On
-    any exception the part file is removed and ``path`` is left as it was.
-    Text goes out as UTF-8, its line ends as written.
+    It is written as ``<path>.part`` beside ``path``, in a directory made if it
+    is missing, and renamed over it.  On any exception the part file is
+    removed and ``path`` is left as it was.
     """
     part = f"{path}.part"
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
     try:
-        with open(part, mode, **text) as f:
+        with _open(part, mode) as f:
             yield f
         os.replace(part, path)
     except BaseException:

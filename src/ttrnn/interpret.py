@@ -110,7 +110,7 @@ def write_core_change_csv(log: CoreChangeLog, path):
 def read_core_change_csv(path) -> CoreChangeLog:
     """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
     cells = {}
-    with reading(path), open(path, newline="") as f:
+    with reading(path) as f:
         for line, (core, epoch, value) in csv_rows(f, CORE_CHANGE_HEADER):
             try:
                 core, epoch, value = int(core), int(epoch), float(value)

@@ -572,7 +572,7 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     UTF-8 text, and each dense line goes to its version's decoder as is.  A
     malformed file or a non-finite parameter value raises DataError.
     """
-    with reading(path), open(path, "rb") as f:
+    with reading(path, "rb") as f:
         magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
         decode = _DENSE_DECODERS.get(magic)
         if decode is None:

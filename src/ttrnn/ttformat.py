@@ -280,7 +280,7 @@ def _format_block(tag: str, fields: dict, lines) -> str:
 
 def _parse_block(text: str, tag: str, keys):
     """The positive integer lists a ``tag`` header gives for ``keys``, and the lines below it."""
-    lines = text.strip("\n").split("\n")
+    lines = text.strip("\r\n").split("\n")  # a CRLF line keeps its \r, which split() drops
     head = lines[0].split()
     want = " ".join([tag] + [f"{k}=..." for k in keys])
     if not head or head[0] != tag:

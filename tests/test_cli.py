@@ -205,6 +205,21 @@ class TestDecompose:
         err = np.linalg.norm(tt_reconstruct(tt).data - t.data) / np.linalg.norm(t.data)
         assert err < 1e-10
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r\n\r\n"], ids=["crlf", "crlf-blank-line"])
+    def test_crlf_tensor_file(self, tmp_path, capsys, end):
+        src = tmp_path / "tensor.txt"
+        src.write_bytes(f"tensor dims=2,2\r\n1.0 2.0 3.0 4.0{end}".encode())
+        dst = tmp_path / "cores.txt"
+        assert main(["decompose", "--input", str(src), "--out", str(dst)]) == 0
+        assert np.allclose(tt_reconstruct(parse_tt_vector(dst.read_text())).data, [1, 2, 3, 4])
+
+    def test_out_into_a_new_directory(self, tmp_path, capsys):
+        src = tmp_path / "tensor.txt"
+        src.write_text("tensor dims=2,2\n1.0 2.0 3.0 4.0\n")
+        dst = tmp_path / "new" / "cores.txt"
+        assert main(["decompose", "--input", str(src), "--out", str(dst)]) == 0
+        assert parse_tt_vector(dst.read_text()).dims == (2, 2)
+
     def test_bad_ranks_exit_code(self, tmp_path, capsys):
         src = tmp_path / "tensor.txt"
         src.write_text("tensor dims=2,2\n1.0 2.0 3.0 4.0\n")
@@ -601,6 +616,19 @@ class TestBadInputExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert str(missing) in err
         assert not (tmp_path / "core_ranking.json").exists()
+
+    def test_empty_manifest_path(self, tmp_path, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "60"]) == 0
+        manifest = tmp_path / "data" / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b",EQ1.csv", b","))
+        capsys.readouterr()
+        code = main(["features", "--out-dir", str(tmp_path / "out"), "--data-manifest",
+                     str(manifest)])
+        assert code == 3
+        err = capsys.readouterr().err
+        row = "('EQ1', 'equities', '1', '')"
+        assert err == f"data error: {manifest}: bad manifest row {row}\n", err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["EQ3.csv", "manifest.csv"])
     def test_non_utf8_panel_file(self, tmp_path, capsys, name):

@@ -1,6 +1,10 @@
 """Run files: artifacts written whole or not at all, and CSVs read from outside."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,10 +136,60 @@ def test_damaged_csv_is_read_or_is_data_error(run_files, name, kind, at, column,
         path.write_bytes(original)
 
 
-def test_run_files_are_handled_only_in_files():
-    """Only files imports csv or calls json.dump; only files and config name UnicodeDecodeError.
+# --- the pipeline under a locale that is not UTF-8 ------------------------------
 
-    config keeps its own, because its error is a ConfigError.
+# runs each command in argv[1] (JSON) and names EQ1 "EQé1" in the manifest synth writes
+PIPELINE = r"""
+import json, sys, warnings
+from pathlib import Path
+
+warnings.filterwarnings("error", category=EncodingWarning, module=r"ttrnn\.")
+from ttrnn.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"ttrnn {argv[0]} exited {code}")
+    if argv[0] == "synth":
+        manifest = Path(sys.argv[2])
+        manifest.write_bytes(manifest.read_bytes().replace(b"\nEQ1,", "\nEQ\u00e91,".encode()))
+"""
+
+
+def test_pipeline_reads_utf8_under_the_c_locale(tmp_path):
+    """Run files are read as UTF-8 under the C locale, and no ttrnn module opens text in the
+    locale's encoding (an EncodingWarning from one is an error)."""
+    manifest, out = tmp_path / "data" / "manifest.csv", tmp_path / "run"
+    tensor = tmp_path / "tensor.txt"
+    tensor.write_text("tensor dims=2,3\n1.0 2.0 3.0 4.0 5.0 6.0\n", encoding="utf-8")
+    run = ["--out-dir", str(out), "--data-manifest", str(manifest), "--hidden-dims", "2,2,2,2,2",
+           "--epochs", "2", "--ranks", "2", "--batch-size", "8", "--seed", "11"]
+    commands = [
+        ["synth", "--out-dir", str(tmp_path), "--synth-days", "60"],
+        ["features", *run],
+        ["train", *run],
+        ["backtest", *run, "--checkpoint", str(out / "checkpoint.txt")],
+        ["report-cores", "--log", str(out / "core_change.csv")],
+        ["decompose", "--input", str(tensor), "--out", str(tmp_path / "cores.txt")],
+    ]
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(ttrnn.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-c", PIPELINE, json.dumps(commands),
+         str(manifest)],
+        env=env, capture_output=True, encoding="utf-8", errors="replace", timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "EQ\u00e91".encode() in (out / "features.csv").read_bytes()
+
+
+def test_run_files_are_handled_only_in_files():
+    """Outside files: no module imports csv, calls json.dump or os.makedirs, and only
+    config calls open or names UnicodeDecodeError.
+
+    config opens the --config file itself, because its errors are ConfigErrors.
     """
     package = Path(ttrnn.__file__).parent
     for source in package.glob("*.py"):
@@ -150,5 +204,7 @@ def test_run_files_are_handled_only_in_files():
                 assert node.module != "csv", where
             if isinstance(node, ast.Attribute) and node.attr == "dump":
                 assert getattr(node.value, "id", None) != "json", where
-            if isinstance(node, ast.Name) and node.id == "UnicodeDecodeError":
+            if isinstance(node, ast.Attribute) and node.attr == "makedirs":
+                assert getattr(node.value, "id", None) != "os", where
+            if isinstance(node, ast.Name) and node.id in ("UnicodeDecodeError", "open"):
                 assert source.stem == "config", where

@@ -404,6 +404,11 @@ class TestSerialization:
             with pytest.raises(DataError, match=re.escape(message)):
                 parse_tensor(text)
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r\n\r\n"], ids=["crlf", "crlf-blank-line"])
+    def test_tensor_text_with_crlf_line_ends(self, end):
+        t = parse_tensor(f"tensor dims=2,2\r\n1.0 2.0 3.0 4.0{end}")
+        assert t.shape == (2, 2) and t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+
 
 # one valid block per reader, each header number and value a mutation target
 VALID_BLOCKS = {
