@@ -53,9 +53,8 @@ def _settings(args) -> dict:
 def _load_or_synth_panel(cfg: RunConfig) -> tuple[feat.AssetPanel, list]:
     """Panel plus the list of input files that determine it (for hashing)."""
     if cfg.data_manifest:
-        panel = feat.load_panel(cfg.data_manifest)
         entries = feat.read_manifest(cfg.data_manifest)
-        return panel, [cfg.data_manifest] + [path for _, path in entries]
+        return feat.read_panel(entries), [cfg.data_manifest] + [path for _, path in entries]
     synth_cfg = feat.SynthConfig(
         days=cfg.synth_days,
         signal_strength=cfg.signal_strength,
@@ -178,11 +177,12 @@ def cmd_report_cores(args) -> int:
         raise DataError(f"{manifest_path}: no such run manifest")
     if os.path.exists(manifest_path):
         with reading(manifest_path) as f:
+            text = f.read()  # outside the try, so reading reports text that is not UTF-8
             try:
-                dims = json.load(f).get("config", {}).get("in_dims")
+                dims = json.loads(text).get("config", {}).get("in_dims")
                 if dims:
                     labels = interpret.mode_labels(tensor.check_shape(ttformat._ints(dims)))
-            except (AttributeError, ValueError):  # ShapeError and UnicodeDecodeError included
+            except (AttributeError, ValueError):  # ShapeError included
                 raise DataError(
                     "malformed run manifest (want JSON whose config.in_dims "
                     "is comma-separated positive integers)"

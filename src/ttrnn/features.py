@@ -114,10 +114,15 @@ class AssetPanel:
                 raise ShapeError(f"{name} must have shape {(t, N_INSTRUMENTS)}, got {arr.shape}")
         if any(self.dates[i] >= self.dates[i + 1] for i in range(t - 1)):
             raise MisalignedDates("dates must be strictly increasing")
-        if np.any(self.close <= 0) or np.any(self.low <= 0):
-            raise NonPositivePrice("prices must be positive")
-        if np.any(self.high < self.low):
-            raise DataError("high < low")
+        for name in ("close", "low"):
+            self._reject(getattr(self, name) <= 0, f"{name} must be positive", NonPositivePrice)
+        self._reject(self.high < self.low, "high < low")
+
+    def _reject(self, bad: np.ndarray, message: str, error=DataError):
+        """Raise ``error`` naming the instrument and the first date of a True in ``bad`` (T, 24)."""
+        if bad.any():
+            t, k = np.argwhere(bad)[0]
+            raise error(f"{message}: {self.instruments[k].symbol} on {self.dates[t]}")
 
     @property
     def n_days(self) -> int:
@@ -486,9 +491,14 @@ def _is_iso_date(text) -> bool:
 
 
 def read_manifest(manifest_path) -> list:
-    """The (instrument, file path) of each manifest row, in file order."""
+    """The (instrument, file path) of each manifest row, in file order.
+
+    A row without a path, of an unknown class or slot, or at a (class, slot)
+    another row holds raises DataError naming the manifest and the row.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = []
+    columns = set()
     with reading(manifest_path) as f:
         for _, row in csv_rows(f, MANIFEST_HEADER):
             symbol, asset_class, slot, rel_path = row
@@ -496,7 +506,13 @@ def read_manifest(manifest_path) -> list:
                 if not rel_path:  # joined to base, it would name the data directory
                     raise ValueError
                 meta = InstrumentMeta(symbol, asset_class, int(slot))
+                column = column_index(asset_class, meta.class_slot)
+                if column in columns:
+                    raise DataError(f"({asset_class}, {meta.class_slot}) is given twice")
+                columns.add(column)
                 entries.append((meta, os.path.join(base, rel_path)))
+            except DataError as exc:
+                raise DataError(f"bad manifest row {row}: {exc}") from None
             except (TypeError, ValueError):
                 raise DataError(f"bad manifest row {row}") from None
     return entries
@@ -504,12 +520,16 @@ def read_manifest(manifest_path) -> list:
 
 def load_panel(manifest_path) -> AssetPanel:
     """Read a manifest + instrument CSVs, aligning on the date intersection."""
-    entries = read_manifest(manifest_path)
+    return read_panel(read_manifest(manifest_path))
+
+
+def read_panel(entries) -> AssetPanel:
+    """The panel of :func:`read_manifest`'s entries: their CSVs aligned on the common dates."""
     if len(entries) != N_INSTRUMENTS:
         raise MisalignedDates(
             f"manifest lists {len(entries)} instruments, need {N_INSTRUMENTS}"
         )
-    entries.sort(key=lambda e: column_index(e[0].asset_class, e[0].class_slot))
+    entries = sorted(entries, key=lambda e: column_index(e[0].asset_class, e[0].class_slot))
 
     per_instrument = []
     common = None

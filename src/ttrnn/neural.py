@@ -4,10 +4,9 @@ The input-to-hidden map is TT-stored, dense-applied: its parameters are the
 TT cores, and a layer contracts them once into the dense matrix, which it
 applies to each distinct input tensor once.  The hidden-to-hidden feedback
 and the 3-class softmax head are dense.  Gradients are the chain rule
-written out by hand: through time, then from the dense map's gradient onto
-each core between the chain products of the cores on its left and right,
-so every TT core gets an analytic gradient that can be checked against
-finite differences.
+written out by hand: through time to the dense map's gradient, which
+:func:`ttformat.mpo_core_grads` projects onto the cores, so every TT core
+gets an analytic gradient that can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .ttformat import (
     _parse_values,
     check_ranks,
     format_tt_matrix,
+    mpo_core_grads,
     mpo_to_matrix,
     parse_tt_matrix,
 )
@@ -212,7 +212,7 @@ class TrainConfig:
         return self
 
 
-# --- TT linear map: dense apply, core gradients by projection ---------------
+# --- TT linear map: dense apply ----------------------------------------------
 
 
 def _project(layer: TTLinearLayer, xs) -> list:
@@ -232,32 +232,6 @@ def _project(layer: TTLinearLayer, xs) -> list:
         y = np.stack([x.data for x in new]) @ layer.matrix.T + layer.bias.data
         memo.update((id(x), (x, row)) for x, row in zip(new, y))
     return [memo[id(x)][1] for x in xs]
-
-
-def _core_grads(cores, dw):
-    """Project the dense map's gradient ``dW`` (M, prod(in_dims)) onto each core.
-
-    ``dW`` is refolded to the interleaved ``(I_1, J_1, ..., I_N, J_N)``
-    modes, first mode slowest.  Core k's gradient contracts it with the
-    chain product of the cores left of k, ``(I_1 J_1 ... I_{k-1} J_{k-1}, R_{k-1})``,
-    and of those right of k, ``(R_k, I_{k+1} J_{k+1} ... I_N J_N)``.
-    """
-    n = len(cores)
-    # in C order dW's fastest-first indexes read as axes (J_N, ..., J_1, I_N, ..., I_1)
-    dims = [c.shape[2] for c in cores[::-1]] + [c.shape[1] for c in cores[::-1]]
-    perm = [a for k in range(n) for a in (2 * n - 1 - k, n - 1 - k)]
-    d = np.ascontiguousarray(dw.reshape(dims).transpose(perm))
-    lefts = [np.ones((1, 1))]
-    for core in cores[:-1]:
-        lefts.append((lefts[-1] @ core.reshape(len(core), -1)).reshape(-1, core.shape[-1]))
-    right = np.ones((1, 1))
-    grads = []
-    for left, core in zip(lefts[::-1], cores[::-1]):
-        block = d.reshape(len(left), -1, right.shape[1])
-        g = np.tensordot(np.tensordot(left, block, axes=(0, 0)), right, axes=(2, 1))
-        grads.insert(0, g.reshape(core.shape))
-        right = (core.reshape(-1, core.shape[-1]) @ right).reshape(len(core), -1)
-    return grads
 
 
 def tt_linear_forward(layer: TTLinearLayer, x: DenseTensor) -> DenseTensor:
@@ -380,7 +354,7 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
     x = np.stack([xs[t].data for t in range(n_steps) for xs, _ in batch])
     d_input_map = d_pre.reshape(-1, m).T @ x
     del x
-    grads = _named_cores(_core_grads(model.cores, d_input_map))
+    grads = _named_cores(mpo_core_grads(model.input_layer.weights, d_input_map))
     del d_input_map
     grads.update(
         feedback=d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m),

@@ -47,14 +47,14 @@ def check_ranks(ranks, n_modes: int) -> tuple[int, ...]:
     return ranks
 
 
-def _check_chain(cores, ndim_expected: int, what: str):
+def _checked_cores(cores, ndim: int, what: str) -> list:
+    """``cores`` as float64 arrays of ``ndim`` modes each, linked by ranks, boundary ranks 1."""
+    cores = [np.asarray(c, dtype=np.float64) for c in cores]
     if not cores:
         raise RankMismatch(f"{what} needs at least one core")
     for k, c in enumerate(cores):
-        if c.ndim != ndim_expected:
-            raise RankMismatch(
-                f"{what} core {k} has {c.ndim} modes, expected {ndim_expected}"
-            )
+        if c.ndim != ndim:
+            raise RankMismatch(f"{what} core {k} has {c.ndim} modes, expected {ndim}")
     if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
         raise RankMismatch(f"{what} boundary ranks must be 1")
     for k in range(len(cores) - 1):
@@ -63,6 +63,7 @@ def _check_chain(cores, ndim_expected: int, what: str):
                 f"{what} cores {k} and {k + 1} link ranks "
                 f"{cores[k].shape[-1]} != {cores[k + 1].shape[0]}"
             )
+    return cores
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,7 @@ class TTVector:
     cores: list
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cores", [np.asarray(c, dtype=np.float64) for c in self.cores]
-        )
-        _check_chain(self.cores, 3, "TT vector")
+        object.__setattr__(self, "cores", _checked_cores(self.cores, 3, "TT vector"))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -93,10 +91,7 @@ class TTMatrix:
     cores: list
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cores", [np.asarray(c, dtype=np.float64) for c in self.cores]
-        )
-        _check_chain(self.cores, 4, "TT matrix")
+        object.__setattr__(self, "cores", _checked_cores(self.cores, 4, "TT matrix"))
 
     @property
     def in_dims(self) -> tuple[int, ...]:
@@ -123,15 +118,22 @@ class TTMatrix:
         return sum(c.size for c in self.cores)
 
 
+def _left_chains(cores, left):
+    """``left``, a ``(rows, R_0)`` matrix, then each product with the next core, ``(rows, R_k)``."""
+    yield left
+    for core in cores:
+        left = (left @ core.reshape(len(core), -1)).reshape(-1, core.shape[-1])
+        yield left
+
+
 def _contract_chain(cores) -> np.ndarray:
     """Chain contractions over the rank links, dropping the two boundary ranks.
 
     The result is a C-ordered ndarray with the cores' middle modes in chain order.
     """
-    t = cores[0]
-    for core in cores[1:]:
-        t = np.tensordot(t, core, axes=(t.ndim - 1, 0))
-    return t.reshape(t.shape[1:-1])
+    for t in _left_chains(cores[1:], cores[0].reshape(-1, cores[0].shape[-1])):
+        pass  # only the whole chain's product is kept
+    return t.reshape([d for c in cores for d in c.shape[1:-1]])
 
 
 def tt_reconstruct(v: TTVector) -> DenseTensor:
@@ -144,6 +146,11 @@ def mpo_reconstruct(w: TTMatrix) -> DenseTensor:
     return DenseTensor.from_ndarray(_contract_chain(w.cores))
 
 
+def _matrix_axes(n: int) -> list:
+    """The chain's axes as a C-ordered ``(M, P)`` matrix reads them: ``(J_N..J_1, I_N..I_1)``."""
+    return [*range(2 * n - 1, 0, -2), *range(2 * n - 2, -1, -2)]
+
+
 def mpo_to_matrix(w: TTMatrix) -> DenseTensor:
     """Dense (prod out) x (prod in) matrix equivalent of a TT matrix.
 
@@ -152,10 +159,31 @@ def mpo_to_matrix(w: TTMatrix) -> DenseTensor:
     cores to the tensorized input.
     """
     n = len(w.cores)
-    # the fastest-first buffer of the (out_1, ..., out_N, in_1, ..., in_N)
-    # tensor is the C-order ravel of the chain's axes reversed within each group
-    perm = tuple(range(2 * n - 2, -1, -2)) + tuple(range(2 * n - 1, 0, -2))
-    return DenseTensor((w.n_out, w.n_in), _contract_chain(w.cores).transpose(perm).ravel())
+    axes = _matrix_axes(n)
+    # W's fastest-first buffer is the C-order buffer of the (P, M) matrix W.T
+    buffer = _contract_chain(w.cores).transpose(axes[n:] + axes[:n]).ravel()
+    return DenseTensor((w.n_out, w.n_in), buffer)
+
+
+def mpo_core_grads(w: TTMatrix, dw: np.ndarray) -> list:
+    """The adjoint of :func:`mpo_to_matrix`: each core's gradient from W's gradient ``dw``.
+
+    ``dw``, an ``(M, P)`` ndarray, is refolded to the chain's modes; core k's gradient
+    contracts it with the chain products of the cores left of k and right of k.
+    """
+    cores = w.cores
+    axes = _matrix_axes(len(cores))
+    sizes = [d for c in cores for d in c.shape[1:3]]
+    d = np.ascontiguousarray(dw.reshape([sizes[a] for a in axes]).transpose(np.argsort(axes)))
+    lefts = list(_left_chains(cores[:-1], np.ones((1, 1))))
+    right = np.ones((1, 1))
+    grads = []
+    for left, core in zip(lefts[::-1], cores[::-1]):
+        block = d.reshape(len(left), -1, right.shape[1])
+        g = np.tensordot(np.tensordot(left, block, axes=(0, 0)), right, axes=(2, 1))
+        grads.insert(0, g.reshape(core.shape))
+        right = (core.reshape(-1, core.shape[-1]) @ right).reshape(len(core), -1)
+    return grads
 
 
 def _truncation_rank(s: np.ndarray, budget: float) -> int:

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import hashlib
 import json
 import os
 from dataclasses import fields
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from memtrace import traced_peak
+from ttrnn import features
 from ttrnn.cli import build_parser, main
 from ttrnn.config import RunConfig
 from ttrnn.features import SynthConfig, synth_panel, write_panel
@@ -116,6 +118,21 @@ class TestTrainCommand:
         # out_dir differs inside run_manifest.json; everything else matches
         for name in ("checkpoint.txt", "epoch_losses.csv", "core_change.csv"):
             assert ta[name] == tb[name]
+
+    def test_data_manifest_read_once_and_its_files_hashed(self, tmp_path, monkeypatch):
+        manifest = write_panel(synth_panel(SynthConfig(days=60), 1), tmp_path / "data")
+        calls = []
+        read_manifest = features.read_manifest
+        monkeypatch.setattr(
+            features, "read_manifest", lambda path: calls.append(path) or read_manifest(path)
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--out-dir", str(out), "--data-manifest", manifest] + FAST) == 0
+        assert calls == [manifest]
+        files = list((tmp_path / "data").iterdir())
+        assert len(files) == 25  # the manifest and 24 instrument files
+        want = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert json.loads((out / "run_manifest.json").read_text())["input_hashes"] == want
 
     def test_from_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -603,6 +620,16 @@ class TestBadInputExitCodes:
         assert str(manifest) in err
         assert not (tmp_path / "core_ranking.json").exists()
 
+    def test_non_utf8_run_manifest(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n1,1,0.5\n")
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_bytes(b"\xff{}")
+        assert main(["report-cores", "--log", str(log), "--manifest", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {manifest}: not UTF-8 text\n", err
+        assert not (tmp_path / "core_ranking.json").exists()
+
     def test_missing_explicit_manifest(self, tmp_path, capsys):
         log = tmp_path / "core_change.csv"
         log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n")
@@ -628,6 +655,40 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         row = "('EQ1', 'equities', '1', '')"
         assert err == f"data error: {manifest}: bad manifest row {row}\n", err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, line, edit, message",
+        [
+            ("manifest.csv", 1, lambda c: [c[0], "bonds", *c[2:]],
+             "{path}: bad manifest row ('EQ1', 'bonds', '1', 'EQ1.csv'): "
+             "unknown asset class 'bonds'"),
+            ("manifest.csv", 1, lambda c: [*c[:2], "7", c[3]],
+             "{path}: bad manifest row ('EQ1', 'equities', '7', 'EQ1.csv'): "
+             "class_slot must be 1..6, got 7"),
+            ("manifest.csv", 2, lambda c: [*c[:2], "1", c[3]],
+             "{path}: bad manifest row ('EQ2', 'equities', '1', 'EQ2.csv'): "
+             "(equities, 1) is given twice"),
+            ("EQ3.csv", 5, lambda c: [c[0], "0.0", *c[2:]],
+             "close must be positive: EQ3 on 2006-05-05"),
+            ("FX1.csv", 5, lambda c: [*c[:2], c[3], c[2], *c[4:]],
+             "high < low: FX1 on 2006-05-05"),
+        ],
+        ids=["unknown-class", "slot-out-of-range", "slot-given-twice", "zero-close",
+             "high-below-low"],
+    )
+    def test_panel_error_names_its_source(self, tmp_path, capsys, name, line, edit, message):
+        assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "60"]) == 0
+        path = tmp_path / "data" / name
+        lines = path.read_text().splitlines()
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["features", "--out-dir", str(tmp_path / "out"), "--data-manifest",
+                     str(tmp_path / "data" / "manifest.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {message.format(path=path)}\n", err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["EQ3.csv", "manifest.csv"])

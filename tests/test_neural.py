@@ -34,7 +34,6 @@ from ttrnn.neural import (
     TrainConfig,
     TTLinearLayer,
     TTRNNModel,
-    _core_grads,
     _forward_windows,
     _project,
     backward,
@@ -52,7 +51,7 @@ from ttrnn.neural import (
     ttrnn_cell_forward,
 )
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix, mpo_to_matrix, tt_param_count
+from ttrnn.ttformat import TTMatrix, mpo_core_grads, mpo_to_matrix, tt_param_count
 
 
 def tiny_model(seed=7, in_dims=(2, 2, 2), hidden=(2, 2, 2), ranks=(1, 2, 2, 1)):
@@ -341,7 +340,7 @@ class TestBackward:
         model, batch = mid_size_step()
         _, cache = forward_batch(model, batch)
         m, n_in = model.hidden_size, model.input_layer.weights.n_in
-        _, core_temps = traced_peak(_core_grads, model.cores, np.zeros((m, n_in)))
+        _, core_temps = traced_peak(mpo_core_grads, model.input_layer.weights, np.zeros((m, n_in)))
         _, peak = traced_peak(backward, model, batch, cache)
         d_pre = len(batch[0][0]) * step_buffer_bytes(model, batch)
         d_input_map = 8 * m * n_in
@@ -453,7 +452,7 @@ class TestDenseApply:
             for acc, g in zip(want_grads, _tt_core_grads_one(cores, steps, dy_nd)):
                 acc += g
             dw += np.outer(dy[n], x.data)
-        for g, w in zip(_core_grads(cores, dw), want_grads):
+        for g, w in zip(mpo_core_grads(layer.weights, dw), want_grads):
             assert_close(g, w)
 
     def test_matrix_built_once_per_model(self, monkeypatch):

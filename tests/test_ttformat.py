@@ -21,6 +21,7 @@ from ttrnn.ttformat import (
     dense_param_count,
     format_tt_matrix,
     format_tt_vector,
+    mpo_core_grads,
     mpo_reconstruct,
     mpo_to_matrix,
     parse_tensor,
@@ -132,6 +133,30 @@ class TestMPO:
         mat = mpo_to_matrix(w).to_ndarray()
         assert mat.flags.f_contiguous  # the layout the GEMMs and checkpoints see
         assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_core_grads_are_the_adjoint_of_the_matrix(self, data):
+        """sum(dW * W with core k replaced by D) == sum(g_k * D) for every core k.
+
+        W is linear in each core, so g_k = mpo_core_grads(w, dW)[k] is that
+        map's adjoint applied to dW.
+        """
+        n = data.draw(st.integers(1, 4))
+        modes = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+        in_dims, out_dims = data.draw(modes), data.draw(modes)
+        ranks = [1, *data.draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1)), 1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cores = [rng.normal(size=shape) for shape in zip(ranks, in_dims, out_dims, ranks[1:])]
+        w = TTMatrix(cores)
+        dw = rng.normal(size=(w.n_out, w.n_in))
+        grads = mpo_core_grads(w, dw)
+        for k, core in enumerate(cores):
+            d = rng.normal(size=core.shape)
+            w_d = mpo_to_matrix(TTMatrix(cores[:k] + [d] + cores[k + 1 :])).to_ndarray()
+            assert grads[k].shape == core.shape
+            bound = 1e-12 * np.linalg.norm(dw) * np.linalg.norm(w_d)
+            assert abs(np.sum(dw * w_d) - np.sum(grads[k] * d)) <= bound
 
     def test_param_count_matches_stored_cores(self):
         rng = np.random.default_rng(12)
