@@ -181,7 +181,7 @@ def cmd_report_cores(args) -> int:
             try:
                 dims = json.loads(text).get("config", {}).get("in_dims")
                 if dims:
-                    labels = interpret.mode_labels(tensor.check_shape(ttformat._ints(dims)))
+                    labels = feat.mode_labels(tensor.check_shape(ttformat._ints(dims)))
             except (AttributeError, ValueError):  # ShapeError included
                 raise DataError(
                     "malformed run manifest (want JSON whose config.in_dims "

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import TENSOR_DIMS_5
+from .files import reading
 from .neural import TrainConfig, config_ranks
 from .rng import stream_rng  # re-exported: callers use it as config.stream_rng
 from .tensor import check_shape
@@ -26,7 +27,7 @@ class RunConfig:
     batch_size: int = 66
     learning_rate: float = 1e-5
     ranks: str = "6"  # scalar, interior list, or full (1, ..., 1) list
-    in_dims: str = "2,2,5,6,4"
+    in_dims: str = ",".join(map(str, TENSOR_DIMS_5))
     hidden_dims: str = "4,4,4,4,4"
     out_dir: str = "runs/out"
     seed: int = 0
@@ -99,10 +100,10 @@ def parse_config_file(path) -> dict:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
     values, first_line = {}, {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with reading(path) as f:
             lines = f.readlines()
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except DataError as exc:  # not UTF-8 text
+        raise ConfigError(str(exc)) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -47,6 +47,22 @@ FEATURE_NAMES = (
 assert len(FEATURE_NAMES) == N_FEATURES
 
 
+def mode_labels(dims) -> list:
+    """Human-readable meaning of each core's data mode.
+
+    ``dims`` are the input-mode sizes, one per core.  For the market layout
+    :data:`TENSOR_DIMS_5` the labels name its feature sub-modes, class
+    components and asset classes; any other layout gets generic names.
+    """
+    dims = tuple(int(d) for d in dims)
+    if dims != TENSOR_DIMS_5:
+        return [f"data mode {n + 1} (size {d})" for n, d in enumerate(dims)]
+    return [f"feature sub-mode {n + 1} (size {d})" for n, d in enumerate(dims[:-2])] + [
+        f"class components (size {N_SLOTS})",
+        f"asset classes (size {len(ASSET_CLASSES)})",
+    ]
+
+
 class NonPositivePrice(DataError):
     pass
 
@@ -491,14 +507,14 @@ def _is_iso_date(text) -> bool:
 
 
 def read_manifest(manifest_path) -> list:
-    """The (instrument, file path) of each manifest row, in file order.
+    """The (instrument, file path) of each manifest row, in canonical (class, slot) order.
 
     A row without a path, of an unknown class or slot, or at a (class, slot)
-    another row holds raises DataError naming the manifest and the row.
+    another row holds, and a (class, slot) no row holds, raise DataError
+    naming the manifest and the row or the slot.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    entries = []
-    columns = set()
+    entries = [None] * N_INSTRUMENTS
     with reading(manifest_path) as f:
         for _, row in csv_rows(f, MANIFEST_HEADER):
             symbol, asset_class, slot, rel_path = row
@@ -507,14 +523,16 @@ def read_manifest(manifest_path) -> list:
                     raise ValueError
                 meta = InstrumentMeta(symbol, asset_class, int(slot))
                 column = column_index(asset_class, meta.class_slot)
-                if column in columns:
+                if entries[column]:
                     raise DataError(f"({asset_class}, {meta.class_slot}) is given twice")
-                columns.add(column)
-                entries.append((meta, os.path.join(base, rel_path)))
+                entries[column] = (meta, os.path.join(base, rel_path))
             except DataError as exc:
                 raise DataError(f"bad manifest row {row}: {exc}") from None
             except (TypeError, ValueError):
                 raise DataError(f"bad manifest row {row}") from None
+        if None in entries:
+            asset_class, slot = divmod(entries.index(None), N_SLOTS)
+            raise MisalignedDates(f"no row for ({ASSET_CLASSES[asset_class]}, {slot + 1})")
     return entries
 
 
@@ -525,12 +543,6 @@ def load_panel(manifest_path) -> AssetPanel:
 
 def read_panel(entries) -> AssetPanel:
     """The panel of :func:`read_manifest`'s entries: their CSVs aligned on the common dates."""
-    if len(entries) != N_INSTRUMENTS:
-        raise MisalignedDates(
-            f"manifest lists {len(entries)} instruments, need {N_INSTRUMENTS}"
-        )
-    entries = sorted(entries, key=lambda e: column_index(e[0].asset_class, e[0].class_slot))
-
     per_instrument = []
     common = None
     iso_dates = set()  # each distinct date string is checked once
@@ -550,10 +562,10 @@ def read_panel(entries) -> AssetPanel:
                     raise DataError(f"non-numeric value on {date}") from None
                 if not all(map(math.isfinite, rows[date])):
                     raise DataError(f"non-finite value on {date}")
+            common = set(rows) if common is None else common & set(rows)
+            if not common:
+                raise MisalignedDates("instrument files share no common dates")
         per_instrument.append(rows)
-        common = set(rows) if common is None else common & set(rows)
-    if not common:
-        raise MisalignedDates("instrument files share no common dates")
     dates = sorted(common)
 
     table = np.array([[rows[d] for rows in per_instrument] for d in dates])  # (T, 24, 5)

@@ -78,26 +78,6 @@ def modal_ranking(log: CoreChangeLog):
     return [(n + 1, float(totals[n])) for n in order]
 
 
-def mode_labels(dims) -> list:
-    """Human-readable meaning of each core's data mode.
-
-    ``dims`` are the input-mode sizes, one per core.  For the standard
-    5-mode market layout (feature sub-modes 2,2,5 then 6 components then 4
-    asset classes) the labels name those modes; any other layout gets
-    generic names.
-    """
-    dims = tuple(int(d) for d in dims)
-    if dims == (2, 2, 5, 6, 4):
-        return [
-            "feature sub-mode 1 (size 2)",
-            "feature sub-mode 2 (size 2)",
-            "feature sub-mode 3 (size 5)",
-            "class components (size 6)",
-            "asset classes (size 4)",
-        ]
-    return [f"data mode {n + 1} (size {d})" for n, d in enumerate(dims)]
-
-
 CORE_CHANGE_HEADER = ["core", "epoch", "normalized_change"]
 
 

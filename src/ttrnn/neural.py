@@ -402,20 +402,18 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
             f"got {n} and {len(hidden_dims)}"
         )
     ranks = config_ranks(ranks, n)
-    cores = []
-    for k in range(n):
-        std = 1.0 / math.sqrt(ranks[k] * in_dims[k])
-        cores.append(
-            rng.normal(0.0, std, size=(ranks[k], in_dims[k], hidden_dims[k], ranks[k + 1]))
-        )
     m = math.prod(hidden_dims)
-    params = _named_cores(cores)
     try:
+        params = _named_cores([
+            rng.normal(0.0, 1.0 / math.sqrt(ranks[k] * in_dims[k]),
+                       size=(ranks[k], in_dims[k], hidden_dims[k], ranks[k + 1]))
+            for k in range(n)
+        ])
         params["feedback"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, m))
     except (ValueError, MemoryError):  # numpy refuses the size
         raise ConfigError(
-            f"hidden_dims {hidden_dims} give M = {m} hidden units; "
-            "the M x M feedback matrix is too large to allocate"
+            f"hidden_dims {hidden_dims} and ranks {ranks} give M = {m} hidden units; "
+            "the TT cores or the M x M feedback matrix is too large to allocate"
         ) from None
     params["bias"] = np.zeros(m)
     params["head_weights"] = rng.normal(0.0, 1.0 / math.sqrt(m), size=(N_CLASSES, m))
@@ -438,8 +436,9 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
     ``dataset`` is a list of (inputs, label) pairs.  After every epoch the
     TT cores are snapshotted; the normalized per-core change between
     consecutive snapshots is summarized in the returned log.  A batch whose
-    mean loss is not finite stops training with :class:`ConfigError`: the
-    learning rate is too large.
+    mean loss is not finite, or a last step that leaves a parameter or the
+    dense input map not finite, stops training with :class:`ConfigError`:
+    the learning rate is too large.
     """
     config.validate()
     if not dataset:
@@ -466,6 +465,14 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
             del grads  # nothing a step made lives into the next step
         epoch_losses.append(total / n)
         snapshots.append([c.copy() for c in model.cores])
+    # no batch loss checks the last step; its map is a temporary, not cached on the layer
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (all(np.isfinite(p).all() for _, p in model.named_params())
+                and np.isfinite(mpo_to_matrix(model.input_layer.weights).data).all()):
+            raise ConfigError(
+                f"training diverged in epoch {epoch}: after its last step a parameter or "
+                f"the dense input map is not finite at learning rate {config.learning_rate}"
+            )
     log = TrainLog(epoch_losses=epoch_losses, core_snapshots=snapshots)
     if len(snapshots) >= 2:
         log.core_change = interpret.core_change(snapshots)

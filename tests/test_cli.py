@@ -530,8 +530,7 @@ class TestBadInputExitCodes:
         code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path)] + FAST)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert str(cfg) in err
+        assert err == f"config error: {cfg}: not UTF-8 text\n", err
         assert not (tmp_path / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize(
@@ -691,6 +690,19 @@ class TestBadInputExitCodes:
         assert err == f"data error: {message.format(path=path)}\n", err
         assert not (tmp_path / "out").exists()
 
+    def test_manifest_leaving_a_slot_empty(self, tmp_path, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "60"]) == 0
+        manifest = tmp_path / "data" / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(line for line in lines if not line.startswith("FX6,")) + "\n")
+        capsys.readouterr()
+        code = main(["features", "--out-dir", str(tmp_path / "out"), "--data-manifest",
+                     str(manifest)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {manifest}: no row for (currencies, 6)\n", err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["EQ3.csv", "manifest.csv"])
     def test_non_utf8_panel_file(self, tmp_path, capsys, name):
         manifest = write_panel(synth_panel(SynthConfig(days=50), 1), tmp_path / "data")
@@ -751,6 +763,18 @@ class TestBadInputExitCodes:
         assert "feedback matrix" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", ["--ranks", "--hidden-dims"])
+    def test_cores_too_large_to_allocate(self, tmp_path, capsys, option):
+        # numpy refuses a core dimension of 1e20 before allocating anything
+        size = "99999999999999999999" + ",2,2,2,2" * (option == "--hidden-dims")
+        code = main(["train", "--out-dir", str(tmp_path / "out"), "--synth-days", "60",
+                     "--epochs", "1", option, size])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: hidden_dims ") and err.count("\n") == 1, err
+        assert "too large to allocate" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", [["--learning-rate", "nan"], ["--ranks", "0"]])
     def test_bad_setting(self, tmp_path, capsys, option):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + option)
@@ -775,6 +799,16 @@ class TestBadInputExitCodes:
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + ["--learning-rate", "1e3"])
         assert code == 2
         assert_one_line_error(capsys, "config")
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+    def test_last_step_diverging(self, tmp_path, capsys):
+        # one step: its loss is finite, and it leaves cores near 4e307 whose input map overflows
+        code = main(["train", "--out-dir", str(tmp_path), "--synth-days", "60", "--epochs", "1",
+                     "--hidden-dims", "2,2,2,2,2", "--ranks", "2", "--learning-rate", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: training diverged in epoch 1: "), err
+        assert err.count("\n") == 1, err
         assert not (tmp_path / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import feature_vector_scalar, rolling_stats_per_window
+import ttrnn
 from ttrnn.errors import ConfigError, DataError
 from ttrnn.features import (
     ASSET_CLASSES,
@@ -29,6 +32,7 @@ from ttrnn.features import (
     instrument_features,
     load_panel,
     log_diff,
+    mode_labels,
     movement_label,
     rel_hlc,
     rel_minmax,
@@ -422,6 +426,13 @@ class TestPanelCSV:
         with pytest.raises(MisalignedDates):
             load_panel(manifest)
 
+    def test_dates_disjoint_from_earlier_files_name_the_file(self, tmp_path):
+        manifest = write_panel(small_panel(days=40, seed=37), tmp_path)
+        victim = tmp_path / "FX2.csv"
+        victim.write_text(victim.read_text().replace("2006-", "2016-"))
+        with pytest.raises(MisalignedDates, match=rf"FX2\.csv: instrument files share no common"):
+            load_panel(manifest)
+
     @staticmethod
     def set_cell(path, row, column, value):
         lines = path.read_text().splitlines()
@@ -459,3 +470,31 @@ class TestPanelCSV:
         for symbol, slot, cls in (("EQ1", 0, 0), ("FX3", 2, 1), ("FI6", 5, 3)):
             values = [float(x) for x in rows[symbol][2:]]
             assert np.allclose(values, fp.raw[0, :, slot, cls], rtol=0, atol=0)
+
+
+class TestModeLabels:
+    def test_semantic_labels_for_market_layout(self):
+        labels = mode_labels((2, 2, 5, 6, 4))
+        assert labels[3] == "class components (size 6)"
+        assert labels[4] == "asset classes (size 4)"
+
+    def test_generic_labels_otherwise(self):
+        labels = mode_labels((3, 3))
+        assert labels == ["data mode 1 (size 3)", "data mode 2 (size 3)"]
+
+
+def test_only_features_holds_the_market_layout():
+    """No module but features holds the layout (2, 2, 5, 6, 4) or "2,2,5,6,4" as a constant."""
+    found = []
+    for source in Path(ttrnn.__file__).parent.glob("*.py"):
+        if source.stem == "features":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Constant, ast.Tuple)):
+                try:
+                    value = ast.literal_eval(node)
+                except ValueError:  # a tuple holding names
+                    continue
+                if value in ("2,2,5,6,4", (2, 2, 5, 6, 4)):
+                    found.append((source.name, node.lineno))
+    assert found == []

@@ -7,7 +7,6 @@ from ttrnn.interpret import (
     CoreChangeLog,
     ShapeDrift,
     core_change,
-    mode_labels,
     modal_ranking,
     read_core_change_csv,
     write_core_change_csv,
@@ -103,15 +102,6 @@ class TestModalRanking:
 
 
 class TestLabelsAndIO:
-    def test_semantic_labels_for_market_layout(self):
-        labels = mode_labels((2, 2, 5, 6, 4))
-        assert labels[3] == "class components (size 6)"
-        assert labels[4] == "asset classes (size 4)"
-
-    def test_generic_labels_otherwise(self):
-        labels = mode_labels((3, 3))
-        assert labels == ["data mode 1 (size 3)", "data mode 2 (size 3)"]
-
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         shapes = [(1, 2, 2, 2), (2, 3, 2, 1)]
