@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
-from .files import csv_rows, reading, write_csv
+from .files import csv_columns, reading, write_csv
 from .rng import stream_rng
 from .tensor import DenseTensor, reshape
 
@@ -177,18 +177,18 @@ def rolling_stats(values, window: int):
     if window > v.shape[-1]:
         raise WindowTooLarge(f"window {window} > series length {v.shape[-1]}")
     sw = sliding_window_view(v, window, axis=-1)
-    ok = ~np.isnan(sw).any(axis=-1)
+    ok = ~_window_has_nan(v, window)
     with np.errstate(invalid="ignore", divide="ignore"):
         m = sw.mean(axis=-1)
         dev = sw - m[..., None]
         # products, not dev**3/dev**4: numpy sends those to libm pow
         dev2 = dev * dev
         m2 = dev2.mean(axis=-1)
-        m3 = (dev2 * dev).mean(axis=-1)
-        m4 = (dev2 * dev2).mean(axis=-1)
+        m3 = np.multiply(dev2, dev, out=dev).mean(axis=-1)
+        m4 = np.multiply(dev2, dev2, out=dev2).mean(axis=-1)
         # a window of identical values can carry rounding noise of order
         # eps*|value|; treat variance at that level as exactly zero
-        scale = np.max(np.abs(sw), axis=-1)
+        scale = _sliding_fold(np.maximum, np.abs(v), window)
         degenerate = m2 <= (1e-12 * np.maximum(scale, 1e-300)) ** 2
         s = np.where(degenerate, 0.0, np.sqrt(m2))
         g1 = np.where(degenerate, 0.0, m3 / np.where(degenerate, 1.0, m2**1.5))
@@ -203,10 +203,32 @@ def rel_minmax(prices, window: int) -> np.ndarray:
     p = np.asarray(prices, dtype=np.float64)
     if window > p.shape[-1]:
         raise WindowTooLarge(f"window {window} > series length {p.shape[-1]}")
-    sw = sliding_window_view(p, window, axis=-1)
     out = np.full(p.shape, np.nan)
-    out[..., window - 1 :] = rel_hlc(p[..., window - 1 :], sw.max(axis=-1), sw.min(axis=-1))
+    high, low = (_sliding_fold(fold, p, window) for fold in (np.maximum, np.minimum))
+    out[..., window - 1 :] = rel_hlc(p[..., window - 1 :], high, low)
     return out
+
+
+def _sliding_fold(fold, v, window: int) -> np.ndarray:
+    """``fold`` (np.maximum or np.minimum) over each trailing window of ``v``'s last axis.
+
+    Entry t folds v[..., t .. t + window - 1], as ``sliding_window_view``'s
+    max or min along the window would, and as exactly: a max or min is one
+    of its inputs whatever the order.  ``window - 1`` elementwise passes over
+    shifted views beat a reduction along each short window.
+    """
+    n = v.shape[-1] - window + 1
+    out = v[..., :n].copy()
+    for k in range(1, window):
+        fold(out, v[..., k : k + n], out=out)
+    return out
+
+
+def _window_has_nan(v, window: int) -> np.ndarray:
+    """Whether each trailing window of ``v``'s last axis holds a NaN, from a running NaN count."""
+    count = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.intp)
+    np.cumsum(np.isnan(v), axis=-1, out=count[..., 1:])
+    return count[..., window:] != count[..., :-window]
 
 
 def rel_hlc(close, high, low) -> np.ndarray:
@@ -301,7 +323,10 @@ class FeaturePanel:
             raise InsufficientHistory(
                 f"{self.n_days} feature days cannot fit a window of {seq_len}"
             )
-        day_tensors = [self.x_tensor(t) for t in range(self.n_days)]
+        # row t of the transposed copy is day t's buffer, fastest-first: one copy for all days
+        rows = np.ascontiguousarray(self.normalized.transpose(0, 3, 2, 1)).reshape(self.n_days, -1)
+        day_shape = self.normalized.shape[1:]
+        day_tensors = [reshape(DenseTensor(day_shape, row), TENSOR_DIMS_5) for row in rows]
         train, test = [], []
         for end in range(seq_len - 1, self.n_days):
             sample = Sample(
@@ -516,7 +541,7 @@ def read_manifest(manifest_path) -> list:
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = [None] * N_INSTRUMENTS
     with reading(manifest_path) as f:
-        for _, row in csv_rows(f, MANIFEST_HEADER):
+        for row in zip(*csv_columns(f, MANIFEST_HEADER)[1:]):
             symbol, asset_class, slot, rel_path = row
             try:
                 if not rel_path:  # joined to base, it would name the data directory
@@ -547,33 +572,53 @@ def read_panel(entries) -> AssetPanel:
     common = None
     iso_dates = set()  # each distinct date string is checked once
     for _, path in entries:
-        rows = {}
         with reading(path) as f:
-            for _, (date, *values) in csv_rows(f, PANEL_HEADER):
-                if date not in iso_dates:
-                    if not _is_iso_date(date):
-                        raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
-                    iso_dates.add(date)
-                if date in rows:
-                    raise MisalignedDates(f"duplicate date {date}")
-                try:
-                    rows[date] = tuple(map(float, values))
-                except (TypeError, ValueError):
-                    raise DataError(f"non-numeric value on {date}") from None
-                if not all(map(math.isfinite, rows[date])):
-                    raise DataError(f"non-finite value on {date}")
-            common = set(rows) if common is None else common & set(rows)
+            _, dates, *columns = csv_columns(f, PANEL_HEADER)
+            own = set(dates)
+            try:  # whole columns first; a fault is then found row by row, as it is reported
+                if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
+                    raise ValueError
+                values = np.array([list(map(float, column)) for column in columns])  # (5, days)
+                if not np.isfinite(values).all():
+                    raise ValueError
+            except (TypeError, ValueError):
+                _raise_first_bad_row(dates, columns)
+            iso_dates |= own
+            common = own if common is None else common & own
             if not common:
                 raise MisalignedDates("instrument files share no common dates")
-        per_instrument.append(rows)
+        per_instrument.append((dates, values))
     dates = sorted(common)
 
-    table = np.array([[rows[d] for rows in per_instrument] for d in dates])  # (T, 24, 5)
+    table = np.empty((len(PANEL_SERIES), len(entries), len(dates)))
+    for k, (own_dates, values) in enumerate(per_instrument):
+        if own_dates != dates:
+            at = {date: i for i, date in enumerate(own_dates)}
+            values = values[:, [at[date] for date in dates]]
+        table[:, k] = values
+    # each series is a (T, 24) view of its contiguous (24, T) rows, the layout assemble reads
     return AssetPanel(
         instruments=[meta for meta, _ in entries],
         dates=dates,
-        **dict(zip(PANEL_SERIES, np.moveaxis(table, -1, 0))),
+        **{name: rows.T for name, rows in zip(PANEL_SERIES, table)},
     )
+
+
+def _raise_first_bad_row(dates, columns):
+    """Raise the error of the first bad row of an instrument file, checking each row in turn."""
+    seen = set()
+    for date, *cells in zip(dates, *columns):
+        if not _is_iso_date(date):
+            raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
+        if date in seen:
+            raise MisalignedDates(f"duplicate date {date}")
+        seen.add(date)
+        try:
+            row = tuple(map(float, cells))
+        except (TypeError, ValueError):
+            raise DataError(f"non-numeric value on {date}") from None
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"non-finite value on {date}")
 
 
 def dump_features_csv(fp: FeaturePanel, path):

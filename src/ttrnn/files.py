@@ -42,11 +42,11 @@ def reading(path, mode="r"):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def csv_rows(f, header):
-    """The line number and the header's columns, in header order, of each non-blank row.
+def csv_columns(f, header):
+    """The line numbers of the non-blank rows, then each of the header's columns, as lists.
 
     The first row of the open CSV ``f`` must name each column of ``header``
-    once.  The line number is that of the row's last line; missing cells of a
+    once.  A row's line number is that of its last line; missing cells of a
     short row read None.
     """
     reader = csv.reader(f)
@@ -57,9 +57,12 @@ def csv_rows(f, header):
     repeated = [c for c in header if names.count(c) > 1]
     if repeated:
         raise DataError(f"column {repeated[0]!r} appears twice")
-    pick = operator.itemgetter(*map(names.index, header))
-    for row in filter(None, reader):
-        yield reader.line_num, pick(row + [None] * (len(names) - len(row)))
+    lines, rows = [], []
+    for row in reader:
+        if row:
+            lines.append(reader.line_num)
+            rows.append(row if len(row) >= len(names) else row + [None] * (len(names) - len(row)))
+    return [lines, *(list(map(operator.itemgetter(names.index(c)), rows)) for c in header)]
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .files import csv_rows, reading, write_csv, write_json
+from .files import csv_columns, reading, write_csv, write_json
 
 
 class ShapeDrift(ShapeError):
@@ -91,7 +91,7 @@ def read_core_change_csv(path) -> CoreChangeLog:
     """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
     cells = {}
     with reading(path) as f:
-        for line, (core, epoch, value) in csv_rows(f, CORE_CHANGE_HEADER):
+        for line, core, epoch, value in zip(*csv_columns(f, CORE_CHANGE_HEADER)):
             try:
                 core, epoch, value = int(core), int(epoch), float(value)
             except (TypeError, ValueError):

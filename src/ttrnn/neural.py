@@ -503,31 +503,53 @@ def _b64_values(arr: np.ndarray) -> bytes:
     return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F"))
 
 
-def _parse_b64_values(line: memoryview, shape) -> np.ndarray:
-    """Decode a :func:`_b64_values` line into an owned, writable float64 array.
+# base64 characters read and decoded at a time: a multiple of 4, so each chunk decodes alone
+_B64_CHUNK = 1 << 16
 
-    ``line`` is released once its bytes are decoded, so the text it views
-    can be freed before the array is made.
+
+def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
+    """Decode the rest of a :func:`_b64_values` line into an owned, writable float64 array.
+
+    ``text`` is the start of the line's values, a few bytes already read; the
+    rest is read from ``f`` a chunk at a time, each chunk decoded into the
+    array.  ``f`` is left at the next line.
     """
-    try:
-        raw = binascii.a2b_base64(line, strict_mode=True)
-    except ValueError:  # bad alphabet or padding, or a non-ASCII byte
-        raise DataError("not valid base64") from None
-    finally:
-        line.release()
     want = 8 * element_count(shape)
-    if len(raw) != want:
-        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").astype(np.float64)
+    out = np.empty(want // 8, dtype="<f8")
+    into = memoryview(out).cast("B")
+    got = 0
+    chunk = text if text.endswith(b"\n") else text + f.read(_B64_CHUNK - len(text))
+    while True:
+        end = chunk.find(b"\n")
+        last = end >= 0 or len(chunk) < _B64_CHUNK  # the line ends here, or the file does
+        if end >= 0:
+            f.seek(end + 1 - len(chunk), 1)  # give back what belongs to the next lines
+            chunk = chunk[:end]
+        try:
+            raw = binascii.a2b_base64(chunk, strict_mode=True)
+        except ValueError:  # bad alphabet or padding, or a non-ASCII byte
+            raise DataError("not valid base64") from None
+        if not last and len(raw) < len(chunk) // 4 * 3:  # padding before the line's end
+            raise DataError("not valid base64")
+        if got + len(raw) <= want:  # past that, the bytes are only counted
+            into[got : got + len(raw)] = raw
+        got += len(raw)
+        if last:
+            break
+        chunk = f.read(_B64_CHUNK)
+    if got != want:
+        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {got}")
+    return out.reshape(shape, order="F").astype(np.float64, copy=False)
 
 
-def _parse_decimal_values(line: memoryview, shape) -> np.ndarray:
-    """Decode a v1 dense line: decimal values in UTF-8 text."""
+def _read_decimal_values(f, text: bytes, shape) -> np.ndarray:
+    """Decode the rest of a v1 dense line, decimal values in UTF-8 text, read whole."""
+    line = text if text.endswith(b"\n") else text + f.readline()
     return _parse_values(str(line, "utf-8"), shape)
 
 
 # the dense-line decoder of each checkpoint version, keyed by its first line
-_DENSE_DECODERS = {CHECKPOINT_MAGIC: _parse_b64_values, "ttrnn-model v1": _parse_decimal_values}
+_DENSE_DECODERS = {CHECKPOINT_MAGIC: _read_b64_values, "ttrnn-model v1": _read_decimal_values}
 
 
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
@@ -550,7 +572,8 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     """Read a :func:`save_model` checkpoint, or a v1 one with decimal dense lines.
 
     Read a line at a time: the 4 header lines and the ``ttmat`` core block are
-    UTF-8 text, and each dense line goes to its version's decoder as is.  A
+    UTF-8 text.  Each dense line's name is read, then its version's decoder
+    reads the rest of the line: v2 in chunks, so no dense line is held whole.  A
     malformed file or a non-finite parameter value raises DataError.
     """
     with reading(path, "rb") as f:
@@ -572,18 +595,20 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
             raise DataError(f"hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
         shapes = dense_shapes(weights.n_out)
         params = _named_cores(weights.cores)
-        for line in f:  # its values viewed, not copied: a dense line is held once
-            cut = line.find(b" ")  # a line without a name is skipped, as unknown names are
-            name = line[:cut].decode("utf-8", "replace") if cut >= 0 else ""
-            values = memoryview(line)[cut + 1 : len(line) - line.endswith(b"\n")]
-            del line  # the view alone holds it, so the decoder can free it
-            if name in shapes:
-                if name in params:
-                    raise DataError(f"{name} line appears twice")
-                try:
-                    params[name] = decode(values, shapes[name])
-                except DataError as exc:
-                    raise DataError(f"{name}: {exc}") from None
+        name_bytes = max(map(len, shapes)) + 1  # the longest name and its space
+        while start := f.readline(name_bytes):
+            cut = start.find(b" ")  # a line without a name is skipped, as unknown names are
+            name = start[:cut].decode("utf-8", "replace") if cut >= 0 else ""
+            if name not in shapes:
+                if not start.endswith(b"\n"):
+                    f.readline()
+                continue
+            if name in params:
+                raise DataError(f"{name} line appears twice")
+            try:
+                params[name] = decode(f, start[cut + 1 :], shapes[name])
+            except DataError as exc:
+                raise DataError(f"{name}: {exc}") from None
         missing = [name for name in shapes if name not in params]
         if missing:
             raise DataError(f"checkpoint has no {', '.join(missing)} line")

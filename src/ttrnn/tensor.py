@@ -94,7 +94,7 @@ class DenseTensor:
     @classmethod
     def from_ndarray(cls, arr) -> "DenseTensor":
         arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape, np.array(arr.ravel(order="F")))
+        return cls(arr.shape, arr.flatten(order="F"))
 
     @classmethod
     def zeros(cls, shape) -> "DenseTensor":

@@ -178,11 +178,16 @@ def mpo_core_grads(w: TTMatrix, dw: np.ndarray) -> list:
     lefts = list(_left_chains(cores[:-1], np.ones((1, 1))))
     right = np.ones((1, 1))
     grads = []
-    for left, core in zip(lefts[::-1], cores[::-1]):
+    for core in cores[:0:-1]:
+        left = lefts.pop()  # each chain product is freed once used
         block = d.reshape(len(left), -1, right.shape[1])
         g = np.tensordot(np.tensordot(left, block, axes=(0, 0)), right, axes=(2, 1))
         grads.insert(0, g.reshape(core.shape))
         right = (core.reshape(-1, core.shape[-1]) @ right).reshape(len(core), -1)
+    # core 0's left is the ones((1, 1)) seed, whose product would copy all of dw to multiply it
+    # by 1; no right chain is needed past it
+    g = np.tensordot(d.reshape(1, -1, right.shape[1]), right, axes=(2, 1))
+    grads.insert(0, g.reshape(cores[0].shape))
     return grads
 
 

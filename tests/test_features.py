@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced_peak
 from oracles import feature_vector_scalar, rolling_stats_per_window
 import ttrnn
 from ttrnn.errors import ConfigError, DataError
@@ -26,6 +28,8 @@ from ttrnn.features import (
     WINDOWS,
     WindowTooLarge,
     AssetPanel,
+    _sliding_fold,
+    _window_has_nan,
     assemble,
     dump_features_csv,
     hl_spread,
@@ -161,6 +165,22 @@ class TestRelMinMax:
         out = rel_minmax(p, 10)
         valid = out[~np.isnan(out)]
         assert np.all((valid >= 0.0) & (valid <= 1.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.data())
+    def test_sliding_folds_are_the_window_reductions(self, data):
+        n, t = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
+        window = data.draw(st.integers(1, t))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.normal(size=(n, t)) * data.draw(st.sampled_from([1e-300, 1.0, 1e300]))
+        if data.draw(st.booleans()):  # ties
+            v = np.round(v)
+        v[rng.random((n, t)) < data.draw(st.sampled_from([0.0, 0.05, 0.5]))] = np.nan
+        sw = sliding_window_view(v, window, axis=-1)
+        for fold, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            got = _sliding_fold(fold, v, window)
+            assert np.array_equal(got, reduce(sw, axis=-1), equal_nan=True), fold.__name__
+        assert np.array_equal(_window_has_nan(v, window), np.isnan(sw).any(axis=-1))
 
 
 class TestDailyRangeFeatures:
@@ -457,6 +477,49 @@ class TestPanelCSV:
         self.set_cell(tmp_path / "EQ2.csv", 2, "date", spelling)
         with pytest.raises(DataError, match=rf"EQ2\.csv: date '{spelling}' is not"):
             load_panel(manifest)
+
+    @pytest.mark.parametrize(
+        "cells, want",
+        [
+            # the first bad row is reported, whatever is wrong further down
+            ([(3, "close", "abc"), (7, "date", "2006-5-9")], "non-numeric value on {date}"),
+            # within a row, the date is checked before the values
+            ([(3, "close", "abc"), (3, "date", "2006-5-4")], "date '2006-5-4' is not"),
+        ],
+        ids=["earlier-row-first", "date-before-value"],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, cells, want):
+        manifest = write_panel(small_panel(days=40, seed=53), tmp_path)
+        dates = {row: self.set_cell(tmp_path / "FI4.csv", row, col, v) for row, col, v in cells}
+        with pytest.raises(DataError, match=rf"FI4\.csv: {want.format(date=dates[3])}"):
+            load_panel(manifest)
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-date-order", "rows-shuffled"])
+    def test_unequal_date_sets_align_on_the_common_dates(self, tmp_path, shuffled):
+        panel = small_panel(days=40, seed=59)
+        manifest = write_panel(panel, tmp_path)
+        cuts = {"EQ1.csv": slice(3, None), "FX2.csv": slice(None, 36), "CO5.csv": slice(1, 38)}
+        for name, days in cuts.items():  # each loses other days, so only days 3..35 are common
+            lines = (tmp_path / name).read_text().splitlines()
+            (tmp_path / name).write_text("\n".join([lines[0], *lines[1:][days]]) + "\n")
+        lines = (tmp_path / "FI3.csv").read_text().splitlines()
+        extra = "2030-01-01," + lines[1].partition(",")[2]  # a date no other file has
+        body = [*lines[1:], extra]
+        if shuffled:
+            np.random.default_rng(2).shuffle(body)
+        (tmp_path / "FI3.csv").write_text("\n".join([lines[0], *body]) + "\n")
+        back = load_panel(manifest)
+        assert back.dates == panel.dates[3:36]
+        for name in PANEL_SERIES:
+            assert np.array_equal(getattr(back, name), getattr(panel, name)[3:36]), name
+
+    def test_load_holds_the_panel_about_once(self, tmp_path):
+        manifest = write_panel(small_panel(days=700, seed=61), tmp_path)
+        panel, peak = traced_peak(load_panel, manifest)
+        arrays = sum(getattr(panel, name).nbytes for name in PANEL_SERIES)  # 0.64 MiB
+        # the panel, each file's columns as parsed and their dates, and one file's rows
+        # as read; a table of Python floats for all files together took 6.2 MiB
+        assert peak < 4 * 2**20, (peak / 2**20, arrays / 2**20)
 
     def test_feature_dump(self, tmp_path):
         fp = assemble(small_panel(days=60), "FX6", split=0.9)

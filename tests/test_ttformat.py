@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced_peak
 from oracles import le_offset_1based, mpo_entry, tt_reconstruct_slices
 from ttrnn.errors import DataError, ShapeError
 from ttrnn.tensor import DenseTensor, frobenius_norm_sq
@@ -157,6 +158,18 @@ class TestMPO:
             assert grads[k].shape == core.shape
             bound = 1e-12 * np.linalg.norm(dw) * np.linalg.norm(w_d)
             assert abs(np.sum(dw * w_d) - np.sum(grads[k] * d)) <= bound
+
+    def test_core_grads_hold_one_copy_of_dw(self):
+        # the paper's full size: in (2, 2, 5, 6, 4), hidden 4^5, ranks 6; dW is 3.75 MiB
+        rng = np.random.default_rng(13)
+        ranks = (1, 6, 6, 6, 6, 1)
+        shapes = zip(ranks, (2, 2, 5, 6, 4), (4,) * 5, ranks[1:])
+        w = TTMatrix([rng.normal(size=shape) for shape in shapes])
+        dw = rng.normal(size=(w.n_out, w.n_in))
+        _, peak = traced_peak(mpo_core_grads, w, dw)
+        # dW refolded, plus chain products smaller than dW; core 0's product with the
+        # ones((1, 1)) seed, or a right chain past core 0, would be a second dW
+        assert peak < 2 * dw.nbytes, peak / dw.nbytes
 
     def test_param_count_matches_stored_cores(self):
         rng = np.random.default_rng(12)
