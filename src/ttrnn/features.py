@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ShapeError
 from .files import csv_columns, reading, write_csv
@@ -176,16 +175,9 @@ def rolling_stats(values, window: int):
     v = np.asarray(values, dtype=np.float64)
     if window > v.shape[-1]:
         raise WindowTooLarge(f"window {window} > series length {v.shape[-1]}")
-    sw = sliding_window_view(v, window, axis=-1)
     ok = ~_window_has_nan(v, window)
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = sw.mean(axis=-1)
-        dev = sw - m[..., None]
-        # products, not dev**3/dev**4: numpy sends those to libm pow
-        dev2 = dev * dev
-        m2 = dev2.mean(axis=-1)
-        m3 = np.multiply(dev2, dev, out=dev).mean(axis=-1)
-        m4 = np.multiply(dev2, dev2, out=dev2).mean(axis=-1)
+        m, m2, m3, m4 = _window_moments(v, window)
         # a window of identical values can carry rounding noise of order
         # eps*|value|; treat variance at that level as exactly zero
         scale = _sliding_fold(np.maximum, np.abs(v), window)
@@ -194,7 +186,8 @@ def rolling_stats(values, window: int):
         g1 = np.where(degenerate, 0.0, m3 / np.where(degenerate, 1.0, m2**1.5))
         g2 = np.where(degenerate, 0.0, m4 / np.where(degenerate, 1.0, m2**2))
     out = np.full((4,) + v.shape, np.nan)
-    out[..., window - 1 :] = np.where(ok, np.stack([m, s, g1, g2]), np.nan)
+    for dst, src in zip(out[..., window - 1 :], (m, s, g1, g2)):
+        np.copyto(dst, src, where=ok)
     return tuple(out)
 
 
@@ -222,6 +215,76 @@ def _sliding_fold(fold, v, window: int) -> np.ndarray:
     for k in range(1, window):
         fold(out, v[..., k : k + n], out=out)
     return out
+
+
+def _window_moments(v, window: int):
+    """Mean and central moments m2, m3, m4 of each trailing window of ``v``'s last axis.
+
+    Bit for bit what ``sliding_window_view(v, window, axis=-1)`` gives as
+    ``win.mean(-1)``, then as the ``mean(-1)`` of ``dev * dev``,
+    ``dev * dev * dev`` and ``(dev * dev) * (dev * dev)`` for
+    ``dev = win - mean``: each window's terms are the shifted views
+    ``v[..., k : k + n]``, summed by :func:`_pairwise_sum` in numpy's order.
+    One pass gives the mean, a second pass the three moments together.  The
+    reduction's identity, +0.0, is added last: it turns a sum of -0.0 into +0.0.
+    """
+    n = v.shape[-1] - window + 1
+    (total,) = _pairwise_sum(lambda k: [v[..., k : k + n].copy()], window)
+    m = (total + 0.0) / window
+
+    def powers(k):
+        # products, not dev**3/dev**4: numpy sends those to libm pow
+        dev = v[..., k : k + n] - m
+        dev2 = dev * dev
+        return [dev2, dev2 * dev, np.multiply(dev2, dev2, out=dev)]
+
+    return (m, *((total + 0.0) / window for total in _pairwise_sum(powers, window)))
+
+
+def _pairwise_sum(terms, count: int, start: int = 0) -> list:
+    """Sum ``terms(k)`` over k = start .. start + count - 1, mirroring numpy's order.
+
+    Each ``terms(k)`` is a list of fresh arrays, summed elementwise into the
+    first ones.  The sums add as numpy's ``pairwise_sum`` adds ``count``
+    contiguous values, which is how ``np.add.reduce`` sums each window of a
+    ``sliding_window_view`` along its last axis, so the bits match:
+
+    - fewer than 8 terms are added in order, starting from -0.0 (which
+      leaves the first term as it is);
+    - 8 to 128 terms go to 8 interleaved lanes, lane j taking terms
+      j, j + 8, ... up to the last whole group of 8; the lanes combine as
+      ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, and the
+      leftover terms are added after, in order;
+    - more than 128 terms split at half the count, rounded down to a
+      multiple of 8, and the halves' sums are added.
+    """
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        left = _pairwise_sum(terms, half, start)
+        return _added(left, _pairwise_sum(terms, count - half, start + half))
+    if count < 8:
+        total, rest = terms(start), range(start + 1, start + count)
+    else:
+        end = start + count - count % 8
+        lanes = []
+        for j in range(start, start + 8):
+            lane = terms(j)
+            for k in range(j + 8, end, 8):
+                _added(lane, terms(k))
+            lanes.append(lane)
+        while len(lanes) > 1:  # adjacent lanes pair up: 8 -> 4 -> 2 -> 1
+            lanes = [_added(x, y) for x, y in zip(lanes[::2], lanes[1::2])]
+        total, rest = lanes[0], range(end, start + count)
+    for k in rest:
+        _added(total, terms(k))
+    return total
+
+
+def _added(total: list, term: list) -> list:
+    """``total`` with ``term`` added in place, array by array."""
+    for a, b in zip(total, term):
+        np.add(a, b, out=a)
+    return total
 
 
 def _window_has_nan(v, window: int) -> np.ndarray:
@@ -253,7 +316,8 @@ def hl_spread(high, low) -> np.ndarray:
 def instrument_features(close, high, low, volume, open_interest) -> np.ndarray:
     """The 20 features on a new last axis (NaN during warm-up).
 
-    A (T,) series gives (T, 20); (N, T) rows give (N, T, 20).
+    A (T,) series gives (T, 20); (N, T) rows give (N, T, 20), a view of the
+    features stacked feature-major, one contiguous block each.
     """
     r = log_diff(close)
     cols = [r]
@@ -264,7 +328,7 @@ def instrument_features(close, high, low, volume, open_interest) -> np.ndarray:
     cols.append(hl_spread(high, low))
     cols.append(np.asarray(volume, dtype=np.float64))
     cols.append(np.asarray(open_interest, dtype=np.float64))
-    return np.stack(cols, axis=-1)
+    return np.moveaxis(np.stack(cols), 0, -1)
 
 
 # --- assembled feature panel --------------------------------------------------
@@ -295,7 +359,7 @@ class FeaturePanel:
     """
 
     dates: list
-    raw: np.ndarray  # (days, 20, 6, 4)
+    raw: np.ndarray  # (days, 20, 6, 4), each day fastest-first in memory
     normalized: np.ndarray
     labels: np.ndarray  # (days,) values in {+1, 0, -1}
     target_next_return: np.ndarray  # (days,) realized next-day log return
@@ -323,7 +387,7 @@ class FeaturePanel:
             raise InsufficientHistory(
                 f"{self.n_days} feature days cannot fit a window of {seq_len}"
             )
-        # row t of the transposed copy is day t's buffer, fastest-first: one copy for all days
+        # row t is day t's buffer, fastest-first: assemble's layout, so no copy
         rows = np.ascontiguousarray(self.normalized.transpose(0, 3, 2, 1)).reshape(self.n_days, -1)
         day_shape = self.normalized.shape[1:]
         day_tensors = [reshape(DenseTensor(day_shape, row), TENSOR_DIMS_5) for row in rows]
@@ -369,13 +433,15 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
     # one contiguous time row per instrument: the windowed sums then add in
     # the same order as for a single series
     series = [np.ascontiguousarray(getattr(panel, name).T) for name in PANEL_SERIES]
-    per_inst = instrument_features(*series)  # (24, T, 20)
-    # canonical columns are class-major: (class, slot, T, 20) -> (T, 20, slot, class)
+    per_inst = instrument_features(*series)  # (24, T, 20), a view of (20, 24, T)
+    # canonical columns are class-major: (class, slot, T, 20) -> (T, class, slot, 20)
     grid = per_inst.reshape(len(ASSET_CLASSES), N_SLOTS, t_total, N_FEATURES)
-    grid = grid.transpose(2, 3, 1, 0)
+    grid = grid.transpose(2, 0, 1, 3)
 
     days = slice(first, last + 1)
-    raw = np.ascontiguousarray(grid[days])
+    # the one copy out of the feature stack, seen as (T, 20, slot, class): each
+    # day's block lies fastest-first, as its DenseTensor's buffer does
+    raw = np.ascontiguousarray(grid[days]).transpose(0, 3, 2, 1)
     if np.isnan(raw).any():
         raise InsufficientHistory("NaNs remain after warm-up trimming")
     dates = list(panel.dates[days])
@@ -395,7 +461,8 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
         mean = raw[:n_train].mean(axis=0)
         std = raw[:n_train].std(axis=0)
         safe = np.where(std < 1e-12, 1.0, std)
-        normalized = (raw - mean) / safe
+        normalized = raw - mean
+        normalized /= safe
     finite = np.isfinite(std) & np.isfinite(normalized).all(axis=0)
     if not finite.all():
         f, slot, cls = np.argwhere(~finite)[0]
@@ -466,8 +533,11 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
     t_total = config.days
     class_of = np.repeat(np.arange(len(ASSET_CLASSES)), N_SLOTS)  # per canonical column
 
-    class_factor = rng.normal(0.0, 1.0, size=(t_total, len(ASSET_CLASSES)))
-    idio = rng.normal(0.0, 1.0, size=(t_total, N_INSTRUMENTS))
+    try:  # the first draws of each size: numpy refuses a size it cannot hold
+        class_factor = rng.normal(0.0, 1.0, size=(t_total, len(ASSET_CLASSES)))
+        idio = rng.normal(0.0, 1.0, size=(t_total, N_INSTRUMENTS))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"synth_days {t_total} gives a panel too large to generate") from None
     rets = SYNTH_DAILY_VOL * (0.5 * class_factor[:, class_of] + math.sqrt(0.75) * idio)
 
     symbols = [m.symbol for m in instruments]

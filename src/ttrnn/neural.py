@@ -11,7 +11,6 @@ gets an analytic gradient that can be checked against finite differences.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import dataclasses
 import functools
@@ -499,8 +498,22 @@ def evaluate(model: TTRNNModel, dataset):
 # checkpoint has the same layout with decimal dense lines.
 
 
-def _b64_values(arr: np.ndarray) -> bytes:
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes(order="F"))
+# the most bytes one piece encodes, unless 3 columns are more; a multiple of 3
+_B64_BLOCK = 3 << 14
+
+
+def _b64_values(arr: np.ndarray):
+    """Yield the base64 text of ``arr``'s little-endian float64 bytes, fastest-first, in pieces.
+
+    Each piece encodes whole F-order columns, a multiple of 3 of them, so its
+    byte count is a multiple of 3 and the pieces join into the one line
+    ``base64.b64encode`` would give; no copy of the whole array is made.
+    """
+    a = np.asarray(arr, dtype="<f8")
+    columns = a.reshape(len(a), -1, order="F")
+    step = 3 * max(1, _B64_BLOCK // (3 * columns[:, :1].nbytes))
+    for j in range(0, columns.shape[1], step):
+        yield binascii.b2a_base64(columns[:, j : j + step].tobytes(order="F"), newline=False)
 
 
 # base64 characters read and decoded at a time: a multiple of 4, so each chunk decodes alone
@@ -562,10 +575,12 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
         format_tt_matrix(model.input_layer.weights).rstrip("\n"),
     ]
     params = dict(model.named_params())
-    with replacing(path, "wb") as f:  # each dense line goes out as b64encode's bytes, uncopied
+    with replacing(path, "wb") as f:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in dense_shapes(model.hidden_size):
-            f.writelines([name.encode("ascii"), b" ", _b64_values(params[name]), b"\n"])
+            f.write(name.encode("ascii") + b" ")
+            f.writelines(_b64_values(params[name]))
+            f.write(b"\n")
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:

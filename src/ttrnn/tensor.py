@@ -33,10 +33,9 @@ class ModeIndexOutOfRange(ShapeError):
 
 def check_shape(dims) -> Shape:
     """Validate and normalize a shape: every mode size a positive int."""
-    dims = tuple(int(d) for d in dims)
-    for d in dims:
-        if d < 1:
-            raise ShapeError(f"mode sizes must be >= 1, got {dims}")
+    dims = tuple(map(int, dims))
+    if dims and min(dims) < 1:
+        raise ShapeError(f"mode sizes must be >= 1, got {dims}")
     return dims
 
 
@@ -68,7 +67,9 @@ class DenseTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", check_shape(self.shape))
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = self.data
+        if type(arr) is not np.ndarray or arr.dtype != np.float64:  # keep a native float64 array
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 1:
             if arr.shape != self.shape:
                 raise ElementCountMismatch(
@@ -77,10 +78,10 @@ class DenseTensor:
                 )
             arr = arr.ravel(order="F")
         object.__setattr__(self, "data", arr)
-        if arr.size != element_count(self.shape):
+        if arr.size != math.prod(self.shape):
             raise ElementCountMismatch(
                 f"buffer has {arr.size} entries, shape {self.shape} needs "
-                f"{element_count(self.shape)}"
+                f"{math.prod(self.shape)}"
             )
 
     @property

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ttrnn.neural import (
     LABELS,
@@ -271,6 +272,21 @@ def feature_vector_scalar(close, high, low, volume, open_interest, t) -> list:
     out.append(volume[t])
     out.append(open_interest[t])
     return out
+
+
+def sliding_window_moments(values, window: int):
+    """Mean, m2, m3 and m4 of each trailing window, each a ``mean(axis=-1)`` of the window view.
+
+    numpy adds each window as one contiguous run, in its pairwise order, so
+    this is the bit-for-bit reference for `features._window_moments`, which
+    sums shifted views of the series instead.
+    """
+    sw = sliding_window_view(np.asarray(values, dtype=np.float64), window, axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = sw.mean(axis=-1)
+        dev = sw - m[..., None]
+        dev2 = dev * dev
+        return m, dev2.mean(axis=-1), (dev2 * dev).mean(axis=-1), (dev2 * dev2).mean(axis=-1)
 
 
 def rolling_stats_per_window(values, window: int):

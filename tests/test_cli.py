@@ -88,6 +88,15 @@ class TestSynth:
             assert main(["synth", "--out-dir", str(out), "--synth-days", "50", "--seed", "9"]) == 0
         assert read_tree(a) == read_tree(b)
 
+    # numpy refuses both sizes before allocating anything: an array too big, a dimension too large
+    @pytest.mark.parametrize("days", ["1000000000000000000", "100000000000000000000"])
+    def test_days_too_large_to_generate(self, tmp_path, capsys, days):
+        code = main(["synth", "--out-dir", str(tmp_path / "out"), "--synth-days", days])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: synth_days {days} gives a panel too large to generate\n", err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFeaturesCommand:
     def test_writes_audit_csv(self, tmp_path):

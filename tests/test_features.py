@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtrace import traced_peak
-from oracles import feature_vector_scalar, rolling_stats_per_window
+from oracles import feature_vector_scalar, rolling_stats_per_window, sliding_window_moments
 import ttrnn
 from ttrnn.errors import ConfigError, DataError
 from ttrnn.features import (
@@ -30,6 +30,7 @@ from ttrnn.features import (
     AssetPanel,
     _sliding_fold,
     _window_has_nan,
+    _window_moments,
     assemble,
     dump_features_csv,
     hl_spread,
@@ -69,10 +70,16 @@ def panel_series(panel):
 
 
 @st.composite
-def moment_series(draw):
-    """(N, T) series with heavy tails, flat stretches, a NaN head, any scale."""
-    window = draw(st.sampled_from(WINDOWS + (2, 3)))
-    n, t = draw(st.integers(1, 3)), draw(st.integers(window, 50))
+def moment_series(draw, windows=WINDOWS + (2, 3), signed_zero=False, whole_last_window=False):
+    """(N, T) series with heavy tails, flat stretches, a NaN head, any scale.
+
+    With ``signed_zero``, a row may be all -0.0 instead. With
+    ``whole_last_window``, the NaN head leaves the last window whole, so a
+    long window still has one without a NaN; otherwise every window of a
+    row may hold one.
+    """
+    window = draw(st.sampled_from(windows))
+    n, t = draw(st.integers(1, 3)), draw(st.integers(window, max(50, window + 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     df = draw(st.sampled_from([1.0, 2.0, 5.0, 1e9]))  # 1: Cauchy; 1e9: about normal
     level = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e6]))
@@ -81,8 +88,18 @@ def moment_series(draw):
     for row in range(n):  # a flat stretch (degenerate windows), then a NaN head
         start = draw(st.integers(0, t - 1))
         x[row, start : start + draw(st.integers(0, 2 * window))] = x[row, start]
-        x[row, : draw(st.integers(0, t // 2))] = np.nan
+        head = min(t // 2, t - window) if whole_last_window else t // 2
+        x[row, : draw(st.integers(0, head))] = np.nan
+    if signed_zero and draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = -0.0
     return x, window
+
+
+def bits(a) -> bytes:
+    """The array's bytes with one NaN for all: signed zeros count, NaN payloads do not."""
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 class TestLogDiff:
@@ -139,6 +156,20 @@ class TestRollingStats:
             assert np.array_equal(g, w, equal_nan=True), name
         for name, g, w in zip(("skew", "kurtosis"), got[2:], want[2:]):
             assert np.allclose(g, w, rtol=1e-12, atol=1e-12, equal_nan=True), name
+
+    # every branch of the pairwise mirror: under 8 terms, 8 lanes with and
+    # without leftovers, a split above 128 terms, a split rounded down to a
+    # multiple of 8 (150: 72 + 78) and, at 257, a split in a split
+    @pytest.mark.parametrize("window", [2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 22, 128, 129, 150, 257])
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(st.data())
+    def test_window_moments_are_the_sliding_reductions(self, window, data):
+        x, _ = data.draw(moment_series(windows=(window,), signed_zero=True, whole_last_window=True))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _window_moments(x, window)
+        want = sliding_window_moments(x, window)
+        for name, g, w in zip(("mean", "m2", "m3", "m4"), got, want, strict=True):
+            assert g.shape == w.shape and bits(g) == bits(w), name
 
 
 class TestRelMinMax:

@@ -1005,6 +1005,19 @@ class TestCheckpoint:
         # a dense line read whole, or decoded whole and then copied, would be one more
         assert peak < 1.2 * dense, peak / dense
 
+    def test_save_holds_no_copy_of_a_dense_array(self, tmp_path):
+        # the paper's full size: the 1024 x 1024 feedback matrix is 8 MiB, a column 8 KiB
+        model = init_model((2, 2, 5, 6, 4), (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(27))
+        path = tmp_path / "model.txt"
+        _, peak = traced_peak(save_model, model, path)
+        # a block of columns and its base64 text; a copy of the feedback
+        # matrix's bytes and its whole base64 line would be 24 MiB
+        assert peak < 1 << 20, peak / 2**20
+        lines = path.read_bytes().split(b"\n")[-5:-1]
+        for line, name in zip(lines, neural.dense_shapes(model.hidden_size), strict=True):
+            raw = np.asarray(dict(model.named_params())[name], dtype="<f8").tobytes(order="F")
+            assert line == name.encode("ascii") + b" " + base64.b64encode(raw), name
+
     @pytest.mark.parametrize(
         "damage",
         [

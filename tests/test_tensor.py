@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import contract_bruteforce, le_offset_1based
+from ttrnn.errors import ShapeError
 from ttrnn.tensor import (
     DenseTensor,
     ElementCountMismatch,
@@ -167,6 +169,48 @@ class TestDenseTensor:
     def test_buffer_length_checked(self):
         with pytest.raises(ElementCountMismatch):
             DenseTensor((2, 2), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "shape, data, want",
+        [
+            ((2, 2), [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0]),
+            ((2, 2), np.arange(4), [0.0, 1.0, 2.0, 3.0]),
+            ((3,), np.array([1.5, -2.0, 0.25], dtype=">f8"), [1.5, -2.0, 0.25]),
+            ((2, 3), np.arange(6.0).reshape(2, 3), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]),  # F order
+            ((), np.array([7.0]), [7.0]),
+            ((), 7.0, [7.0]),
+            ([np.int64(2), 1.0], (5.0, 6.0), [5.0, 6.0]),
+        ],
+        ids=["list", "int-array", "big-endian", "n-d-of-the-shape", "order-0", "order-0-scalar",
+             "numpy-and-float-sizes"],
+    )
+    def test_accepted_buffers(self, shape, data, want):
+        t = DenseTensor(shape, data)
+        assert t.shape == tuple(int(d) for d in shape)
+        assert all(type(d) is int for d in t.shape)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64 and t.data.ndim == 1
+        assert t.data.tolist() == want
+
+    def test_flat_float64_buffer_is_kept(self):
+        data = np.arange(4.0)
+        assert DenseTensor((2, 2), data).data is data
+
+    @pytest.mark.parametrize(
+        "shape, data, error, message",
+        [
+            ((2, 2), np.zeros(3), ElementCountMismatch,
+             "buffer has 3 entries, shape (2, 2) needs 4"),
+            ((2, 2), np.zeros((2, 3)), ElementCountMismatch,
+             "buffer shaped (2, 3) does not match declared shape (2, 2); "
+             "pass a flat buffer or a matching array"),
+            ((2, 0), np.zeros(0), ShapeError, "mode sizes must be >= 1, got (2, 0)"),
+            ((-1,), np.zeros(1), ShapeError, "mode sizes must be >= 1, got (-1,)"),
+        ],
+        ids=["length", "n-d-of-another-shape", "zero-size-mode", "negative-mode"],
+    )
+    def test_rejected_buffers(self, shape, data, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DenseTensor(shape, data)
 
     def test_scalar_tensor(self):
         s = DenseTensor((), np.array([7.0]))
