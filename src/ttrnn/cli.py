@@ -111,7 +111,8 @@ def cmd_train(args) -> int:
     tt_params = ttformat.tt_param_count(in_dims, hidden_dims, ranks)
     dense_params = ttformat.dense_param_count(in_dims, hidden_dims)
     manifest = {
-        "config": dict(sorted(cfg.__dict__.items())),
+        # in_dims is no setting, but report-cores reads it for its mode labels
+        "config": {**vars(cfg), "in_dims": ",".join(map(str, in_dims))},
         "input_hashes": {os.path.basename(p): _sha256(p) for p in input_files},
         "tt_input_layer_params": tt_params,
         "dense_equivalent_params": dense_params,

@@ -27,13 +27,13 @@ class RunConfig:
     batch_size: int = 66
     learning_rate: float = 1e-5
     ranks: str = "6"  # scalar, interior list, or full (1, ..., 1) list
-    in_dims: str = ",".join(map(str, TENSOR_DIMS_5))
     hidden_dims: str = "4,4,4,4,4"
     out_dir: str = "runs/out"
     seed: int = 0
 
     def input_dims(self) -> tuple[int, ...]:
-        return _dims(self.in_dims, "in_dims")
+        """The input tensor modes: the feature layout fixes them."""
+        return TENSOR_DIMS_5
 
     def hidden_tensor_dims(self) -> tuple[int, ...]:
         return _dims(self.hidden_dims, "hidden_dims")
@@ -70,13 +70,10 @@ class RunConfig:
         """Check the run; the SGD settings are checked by :meth:`TrainConfig.validate`."""
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
-        if self.input_dims() != TENSOR_DIMS_5:
+        if len(self.hidden_tensor_dims()) != len(TENSOR_DIMS_5):
             raise ConfigError(
-                f"in_dims {self.in_dims!r} does not match the feature tensor "
-                f"shape {TENSOR_DIMS_5}"
+                f"hidden_dims must have one mode per input mode of {TENSOR_DIMS_5}"
             )
-        if len(self.hidden_tensor_dims()) != len(self.input_dims()):
-            raise ConfigError("hidden_dims must have the same mode count as in_dims")
         self.train_config().validate()
         if self.synth_days < 1:
             raise ConfigError(f"synth_days must be >= 1, got {self.synth_days}")

@@ -373,12 +373,6 @@ class FeaturePanel:
     def n_days(self) -> int:
         return len(self.dates)
 
-    def z_tensor(self, t: int) -> DenseTensor:
-        return DenseTensor.from_ndarray(self.normalized[t])
-
-    def x_tensor(self, t: int) -> DenseTensor:
-        return reshape(self.z_tensor(t), TENSOR_DIMS_5)
-
     def samples(self, seq_len: int):
         """Sliding stride-1 windows, split train/test at the n_train boundary."""
         if seq_len < 1:
@@ -487,6 +481,8 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
 
 SYNTH_PREFIXES = {"equities": "EQ", "currencies": "FX", "commodities": "CO", "fixed_income": "FI"}
 SYNTH_DAILY_VOL = 0.01
+SYNTH_START = np.datetime64("2006-05-01")
+SYNTH_MAX_DAYS = (datetime.date.max - SYNTH_START.item()).days + 1  # the last date is 9999-12-31
 
 
 def synth_symbols() -> list:
@@ -515,6 +511,11 @@ class SynthConfig:
     def validate(self):
         if self.days < WARMUP + 10:
             raise ConfigError(f"days must be >= {WARMUP + 10}, got {self.days}")
+        if self.days > SYNTH_MAX_DAYS:
+            raise ConfigError(
+                f"synth_days {self.days} would date the panel past 9999-12-31 "
+                f"(at most {SYNTH_MAX_DAYS})"
+            )
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError("signal_strength must be in [0, 1]")
         symbols = {m.symbol for m in synth_symbols()}
@@ -533,11 +534,8 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
     t_total = config.days
     class_of = np.repeat(np.arange(len(ASSET_CLASSES)), N_SLOTS)  # per canonical column
 
-    try:  # the first draws of each size: numpy refuses a size it cannot hold
-        class_factor = rng.normal(0.0, 1.0, size=(t_total, len(ASSET_CLASSES)))
-        idio = rng.normal(0.0, 1.0, size=(t_total, N_INSTRUMENTS))
-    except (ValueError, MemoryError):
-        raise ConfigError(f"synth_days {t_total} gives a panel too large to generate") from None
+    class_factor = rng.normal(0.0, 1.0, size=(t_total, len(ASSET_CLASSES)))
+    idio = rng.normal(0.0, 1.0, size=(t_total, N_INSTRUMENTS))
     rets = SYNTH_DAILY_VOL * (0.5 * class_factor[:, class_of] + math.sqrt(0.75) * idio)
 
     symbols = [m.symbol for m in instruments]
@@ -562,11 +560,9 @@ def synth_panel(config: SynthConfig, seed: int) -> AssetPanel:
     commodities = class_of == ASSET_CLASSES.index("commodities")
     open_interest[:, commodities] = 1e4 * np.exp(rng.normal(0.0, 0.2, size=(N_SLOTS, t_total))).T
 
-    start = datetime.date(2006, 5, 1)
-    dates = [(start + datetime.timedelta(days=t)).isoformat() for t in range(t_total)]
     return AssetPanel(
         instruments=instruments,
-        dates=dates,
+        dates=(SYNTH_START + np.arange(t_total)).astype(str).tolist(),
         close=close,
         high=high,
         low=low,

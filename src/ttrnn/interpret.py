@@ -25,13 +25,12 @@ class ShapeDrift(ShapeError):
 class CoreChangeLog:
     """values[n, k] is the normalized change of core n+1 from epoch k+1 to k+2."""
 
-    core_shapes: list
     epochs: list  # epoch numbers e >= 2, one per change column
     values: np.ndarray  # (n_cores, n_epochs - 1)
 
     @property
     def n_cores(self) -> int:
-        return len(self.core_shapes)
+        return len(self.values)
 
 
 def core_change(snapshots) -> CoreChangeLog:
@@ -58,11 +57,7 @@ def core_change(snapshots) -> CoreChangeLog:
         for n in range(n_cores):
             delta = np.asarray(snapshots[e][n]) - np.asarray(snapshots[e - 1][n])
             values[n, e - 1] = float(np.sum(delta * delta)) / delta.size
-    return CoreChangeLog(
-        core_shapes=shapes,
-        epochs=list(range(2, len(snapshots) + 1)),
-        values=values,
-    )
+    return CoreChangeLog(epochs=list(range(2, len(snapshots) + 1)), values=values)
 
 
 def modal_ranking(log: CoreChangeLog):
@@ -88,7 +83,7 @@ def write_core_change_csv(log: CoreChangeLog, path):
 
 
 def read_core_change_csv(path) -> CoreChangeLog:
-    """Rebuild a log (core shapes left empty): one finite change >= 0 per core 1..n and epoch."""
+    """Rebuild a log: one finite change >= 0 per core 1..n and epoch."""
     cells = {}
     with reading(path) as f:
         for line, core, epoch, value in zip(*csv_columns(f, CORE_CHANGE_HEADER)):
@@ -112,7 +107,7 @@ def read_core_change_csv(path) -> CoreChangeLog:
         if missing:
             raise DataError(f"no row for core {missing[0]} epoch {missing[1]}")
     values = np.array([[cells[c, e] for e in epochs] for c in cores])
-    return CoreChangeLog(core_shapes=[() for _ in cores], epochs=epochs, values=values)
+    return CoreChangeLog(epochs=epochs, values=values)
 
 
 def write_ranking_json(log: CoreChangeLog, path, labels=None) -> list:

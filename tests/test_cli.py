@@ -88,13 +88,14 @@ class TestSynth:
             assert main(["synth", "--out-dir", str(out), "--synth-days", "50", "--seed", "9"]) == 0
         assert read_tree(a) == read_tree(b)
 
-    # numpy refuses both sizes before allocating anything: an array too big, a dimension too large
-    @pytest.mark.parametrize("days", ["1000000000000000000", "100000000000000000000"])
+    # each is refused before anything is drawn: its last date would pass 9999-12-31
+    @pytest.mark.parametrize("days", ["1000000000000000000", "100000000000000000000", "2919629"])
     def test_days_too_large_to_generate(self, tmp_path, capsys, days):
         code = main(["synth", "--out-dir", str(tmp_path / "out"), "--synth-days", days])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"config error: synth_days {days} gives a panel too large to generate\n", err
+        assert err == (f"config error: synth_days {days} would date the panel past 9999-12-31 "
+                       "(at most 2919628)\n"), err
         assert not (tmp_path / "out").exists()
 
 
@@ -116,6 +117,7 @@ class TestTrainCommand:
         assert manifest["tt_input_layer_params"] == 128
         assert manifest["dense_equivalent_params"] == 480 * 32
         assert manifest["config"]["seed"] == 11
+        assert manifest["config"]["in_dims"] == "2,2,5,6,4"  # for report-cores' mode labels
         printed = capsys.readouterr().out
         assert "TT input layer parameters: 128" in printed
 
@@ -280,6 +282,17 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
+
+    def test_in_dims_is_no_setting(self, tmp_path, capsys):
+        """The feature layout fixes the input modes: in_dims is neither a config key nor a flag."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("in_dims = 2,2,5,6,4\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'in_dims'\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--in-dims", "2,2,5,6,4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --in-dims" in capsys.readouterr().err
 
     def test_data_error(self, tmp_path, capsys):
         panel = synth_panel(SynthConfig(days=50), 1)

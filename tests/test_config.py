@@ -10,6 +10,8 @@ import pytest
 import ttrnn
 from ttrnn.config import RunConfig, build_config
 from ttrnn.errors import ConfigError, DataError, ShapeError
+from ttrnn.features import SynthConfig, assemble
+from ttrnn.neural import TrainConfig
 
 BASES = (ConfigError, DataError, ShapeError)
 
@@ -109,3 +111,13 @@ def test_readme_config_key_table_matches_run_config():
     for key, default in defaults.items():
         text = documented[key]
         assert type(default)("" if text == "*(empty)*" else text.strip("`")) == default, key
+
+
+def test_run_config_defaults_agree_with_the_layers_it_configures():
+    """A default changed in one table and not the other would make the CLI and the library differ."""
+    run = RunConfig()
+    assert run.train_config() == TrainConfig()  # ranks through rank_tuple()
+    synth = SynthConfig()
+    assert (run.synth_days, run.signal_strength, run.target) == (
+        synth.days, synth.signal_strength, synth.target)
+    assert run.split == inspect.signature(assemble).parameters["split"].default

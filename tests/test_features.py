@@ -1,4 +1,5 @@
 import ast
+import datetime
 import math
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from ttrnn.features import (
     synth_panel,
     write_panel,
 )
+from ttrnn.tensor import DenseTensor, reshape
 
 
 def small_panel(days=80, strength=0.0, seed=0):
@@ -352,13 +354,12 @@ class TestAssemble:
 
     def test_tensor_views_share_buffer(self):
         fp = assemble(small_panel(), "FX6", split=0.9)
-        z = fp.z_tensor(0)
-        x = fp.x_tensor(0)
-        assert z.shape == (20, 6, 4) and x.shape == (2, 2, 5, 6, 4)
-        x2 = fp.x_tensor(0)
-        assert np.array_equal(x.data, x2.data)
-        from ttrnn.tensor import reshape
-
+        train, _ = fp.samples(1)
+        x = train[0].inputs[0]
+        assert x.shape == (2, 2, 5, 6, 4)
+        assert np.array_equal(x.data, DenseTensor.from_ndarray(fp.normalized[0]).data)
+        assert np.shares_memory(x.data, fp.normalized)
+        z = reshape(x, (20, 6, 4))
         assert reshape(z, (2, 2, 5, 6, 4)).data is z.data
 
     def test_samples_split(self):
@@ -440,6 +441,17 @@ class TestSynthPanel:
             SynthConfig(signal_strength=1.5).validate()
         with pytest.raises(ConfigError):
             SynthConfig(target="EQ1", driver="EQ1").validate()
+
+    def test_days_end_at_the_calendar(self):
+        # the last date of SynthConfig(days=2919628) is 9999-12-31; its panel is never drawn
+        SynthConfig(days=2919628).validate()
+        with pytest.raises(ConfigError, match="^synth_days 2919629 would date the panel past "):
+            SynthConfig(days=2919629).validate()
+
+    def test_dates_are_consecutive_iso_days(self):
+        start = datetime.date(2006, 5, 1)
+        want = [(start + datetime.timedelta(days=t)).isoformat() for t in range(700)]
+        assert small_panel(days=700).dates == want
 
 
 class TestPanelCSV:

@@ -115,7 +115,6 @@ class TestLabelsAndIO:
 
     def test_ranking_json(self, tmp_path):
         log = CoreChangeLog(
-            core_shapes=[(1, 2, 2, 1), (2, 2, 2, 1)],
             epochs=[2, 3],
             values=np.array([[0.5, 0.0], [0.1, 0.3]]),
         )
