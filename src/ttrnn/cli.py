@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -111,8 +110,7 @@ def cmd_train(args) -> int:
     tt_params = ttformat.tt_param_count(in_dims, hidden_dims, ranks)
     dense_params = ttformat.dense_param_count(in_dims, hidden_dims)
     manifest = {
-        # in_dims is no setting, but report-cores reads it for its mode labels
-        "config": {**vars(cfg), "in_dims": ",".join(map(str, in_dims))},
+        "config": vars(cfg),
         "input_hashes": {os.path.basename(p): _sha256(p) for p in input_files},
         "tt_input_layer_params": tt_params,
         "dense_equivalent_params": dense_params,
@@ -172,24 +170,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_report_cores(args) -> int:
     log = interpret.read_core_change_csv(args.log)
-    labels = None
-    manifest_path = args.manifest or os.path.join(os.path.dirname(args.log), "run_manifest.json")
-    if args.manifest and not os.path.isfile(manifest_path):
-        raise DataError(f"{manifest_path}: no such run manifest")
-    if os.path.exists(manifest_path):
-        with reading(manifest_path) as f:
-            text = f.read()  # outside the try, so reading reports text that is not UTF-8
-            try:
-                dims = json.loads(text).get("config", {}).get("in_dims")
-                if dims:
-                    labels = feat.mode_labels(tensor.check_shape(ttformat._ints(dims)))
-            except (AttributeError, ValueError):  # ShapeError included
-                raise DataError(
-                    "malformed run manifest (want JSON whose config.in_dims "
-                    "is comma-separated positive integers)"
-                ) from None
-            if labels is not None and len(labels) != log.n_cores:
-                raise DataError(f"in_dims has {len(labels)} modes, the log has {log.n_cores} cores")
+    labels = feat.MODE_LABELS if log.n_cores == len(feat.TENSOR_DIMS_5) else None
     out_dir = args.out_dir or os.path.dirname(args.log) or "."
     json_path = os.path.join(out_dir, "core_ranking.json")
     for row in interpret.write_ranking_json(log, json_path, labels=labels):
@@ -233,8 +214,15 @@ def _add_run_options(p: argparse.ArgumentParser):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttrnn",
         description="Tensor-train recurrent forecasting pipeline",
     )
@@ -259,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-cores", help="rank TT cores by training movement")
     p.add_argument("--log", required=True, help="core_change.csv from a training run")
-    p.add_argument("--manifest", help="run_manifest.json for mode labels")
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=cmd_report_cores)
 
@@ -274,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # subcommand parsers are _Parsers too
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

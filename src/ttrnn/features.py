@@ -35,6 +35,11 @@ WINDOWS = (5, 10, 22)
 WARMUP = max(WINDOWS)  # rolling stats of log-diffs need this many prior days
 LABEL_DEADZONE = 1e-4
 TENSOR_DIMS_5 = (2, 2, 5, N_SLOTS, len(ASSET_CLASSES))
+# what each TT core's data mode means in TENSOR_DIMS_5, one label per core
+MODE_LABELS = tuple(
+    [f"feature sub-mode {n + 1} (size {d})" for n, d in enumerate(TENSOR_DIMS_5[:-2])]
+    + [f"class components (size {N_SLOTS})", f"asset classes (size {len(ASSET_CLASSES)})"]
+)
 PANEL_SERIES = ("close", "high", "low", "volume", "open_interest")  # AssetPanel arrays, CSV order
 
 FEATURE_NAMES = (
@@ -44,22 +49,6 @@ FEATURE_NAMES = (
     + ["rel_hlc", "hl_spread", "volume", "open_interest"]
 )
 assert len(FEATURE_NAMES) == N_FEATURES
-
-
-def mode_labels(dims) -> list:
-    """Human-readable meaning of each core's data mode.
-
-    ``dims`` are the input-mode sizes, one per core.  For the market layout
-    :data:`TENSOR_DIMS_5` the labels name its feature sub-modes, class
-    components and asset classes; any other layout gets generic names.
-    """
-    dims = tuple(int(d) for d in dims)
-    if dims != TENSOR_DIMS_5:
-        return [f"data mode {n + 1} (size {d})" for n, d in enumerate(dims)]
-    return [f"feature sub-mode {n + 1} (size {d})" for n, d in enumerate(dims[:-2])] + [
-        f"class components (size {N_SLOTS})",
-        f"asset classes (size {len(ASSET_CLASSES)})",
-    ]
 
 
 class NonPositivePrice(DataError):

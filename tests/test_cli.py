@@ -117,7 +117,7 @@ class TestTrainCommand:
         assert manifest["tt_input_layer_params"] == 128
         assert manifest["dense_equivalent_params"] == 480 * 32
         assert manifest["config"]["seed"] == 11
-        assert manifest["config"]["in_dims"] == "2,2,5,6,4"  # for report-cores' mode labels
+        assert "in_dims" not in manifest["config"]  # the feature layout fixes it
         printed = capsys.readouterr().out
         assert "TT input layer parameters: 128" in printed
 
@@ -213,10 +213,17 @@ class TestReportCores:
     def test_ranking_output(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out-dir", str(out)] + FAST) == 0
+        os.remove(out / "run_manifest.json")  # the log alone names the modes
         assert main(["report-cores", "--log", str(out / "core_change.csv")]) == 0
         payload = json.loads((out / "core_ranking.json").read_text())
         assert len(payload["ranking"]) == 5
         assert "asset classes" in capsys.readouterr().out
+
+    def test_generic_labels_for_another_core_count(self, tmp_path, capsys):
+        log = tmp_path / "core_change.csv"
+        log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n")
+        assert main(["report-cores", "--log", str(log)]) == 0
+        assert "[data mode 1]" in capsys.readouterr().out
 
 
 class TestDecompose:
@@ -289,10 +296,10 @@ class TestExitCodes:
         cfg.write_text("in_dims = 2,2,5,6,4\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "config error: unknown config key 'in_dims'\n"
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--in-dims", "2,2,5,6,4"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --in-dims" in capsys.readouterr().err
+        assert main(["train", "--in-dims", "2,2,5,6,4"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unrecognized arguments: --in-dims 2,2,5,6,4\n"
+        )
 
     def test_data_error(self, tmp_path, capsys):
         panel = synth_panel(SynthConfig(days=50), 1)
@@ -320,6 +327,30 @@ class TestBadInputExitCodes:
         assert main(["report-cores", "--log", str(log)]) == 3
         assert_one_line_error(capsys, "data")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
+            (["backtest"], "the following arguments are required: --checkpoint"),
+            (["retrain"], "argument command: invalid choice: 'retrain'"),
+            (["report-cores", "--log", "core_change.csv", "--manifest", "x"],
+             "unrecognized arguments: --manifest x"),
+        ],
+        ids=["unknown-flag", "missing-required-flag", "unknown-command", "report-cores-manifest"],
+    )
+    def test_bad_command_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+        assert not os.listdir(tmp_path)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report-cores", "--help"])
+        assert exc.value.code == 0
+        assert "--manifest" not in capsys.readouterr().out
+
     def test_far_core_number_reported_without_listing_every_gap(self, tmp_path, capsys):
         log = tmp_path / "core_change.csv"
         log.write_text("core,epoch,normalized_change\n1,2,0.5\n1000000,2,0.5\n")
@@ -334,11 +365,12 @@ class TestBadInputExitCodes:
         "damage, where",
         [
             (lambda lines: lines[:4] + ["2,3,nan"] + lines[5:], "line 5: change nan"),
+            (lambda lines: lines[:4] + ["2,3,inf"] + lines[5:], "line 5: change inf"),
             (lambda lines: lines[:2] + ["1,3,-0.25"] + lines[3:], "line 3: change -0.25"),
             (lambda lines: lines[:3] + lines[4:], "no row for core 2 epoch 2"),
             (lambda lines: lines + ["1,2,0.5"], "line 6: duplicate row for core 1 epoch 2"),
         ],
-        ids=["nan", "negative", "missing-cell", "duplicate-row"],
+        ids=["nan", "inf", "negative", "missing-cell", "duplicate-row"],
     )
     def test_damaged_core_change_log(self, tmp_path, capsys, damage, where):
         log = tmp_path / "core_change.csv"
@@ -615,55 +647,6 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert str(csv_path) in err and cells[0] in err
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"config": {"in_dims": ',
-            '{"config": {"in_dims": "2,x,2"}}',
-            '["config"]',
-            '{"config": {"in_dims": "2,2"}}',
-            '{"config": {"in_dims": "2,2,2,2"}}',
-            '{"config": {"in_dims": "2,0,2"}}',
-            '{"config": {"in_dims": "-2,2,2"}}',
-        ],
-        ids=["not-json", "non-integer-dims", "not-an-object", "too-few-modes", "too-many-modes",
-             "zero-mode-size", "negative-mode-size"],
-    )
-    def test_malformed_run_manifest(self, tmp_path, capsys, text):
-        log = tmp_path / "core_change.csv"
-        log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n3,1,0.125\n")
-        manifest = tmp_path / "run_manifest.json"
-        manifest.write_text(text)
-        assert main(["report-cores", "--log", str(log)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1, err
-        assert str(manifest) in err
-        assert not (tmp_path / "core_ranking.json").exists()
-
-    def test_non_utf8_run_manifest(self, tmp_path, capsys):
-        log = tmp_path / "core_change.csv"
-        log.write_text("core,epoch,normalized_change\n1,1,0.5\n")
-        manifest = tmp_path / "run_manifest.json"
-        manifest.write_bytes(b"\xff{}")
-        assert main(["report-cores", "--log", str(log), "--manifest", str(manifest)]) == 3
-        err = capsys.readouterr().err
-        assert err == f"data error: {manifest}: not UTF-8 text\n", err
-        assert not (tmp_path / "core_ranking.json").exists()
-
-    def test_missing_explicit_manifest(self, tmp_path, capsys):
-        log = tmp_path / "core_change.csv"
-        log.write_text("core,epoch,normalized_change\n1,1,0.5\n2,1,0.25\n")
-        # the default manifest next to the log is optional
-        assert main(["report-cores", "--log", str(log)]) == 0
-        assert "[data mode 1]" in capsys.readouterr().out
-        os.remove(tmp_path / "core_ranking.json")
-        missing = tmp_path / "nope.json"
-        assert main(["report-cores", "--log", str(log), "--manifest", str(missing)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and err.count("\n") == 1, err
-        assert str(missing) in err
-        assert not (tmp_path / "core_ranking.json").exists()
 
     def test_empty_manifest_path(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "60"]) == 0

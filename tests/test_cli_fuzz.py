@@ -2,7 +2,7 @@
 
 Each example damages one input of a command that succeeds on the clean
 file: a v1 or v2 checkpoint of a hidden 2^5, rank 2 model, a
-``run_manifest.json``, a ``--config`` file or a panel manifest.  The
+``core_change.csv``, a ``--config`` file or a panel manifest.  The
 command must end with a documented exit code and at most one stderr line,
 and a report it writes must hold no NaN or infinity.  In process, a numpy
 RuntimeWarning is an error too (see pyproject.toml).
@@ -89,9 +89,8 @@ def run_files(tmp_path_factory):
         "checkpoint_v2": (run / "checkpoint.txt", lambda f: backtest + synth + ["--checkpoint", f]),
         "checkpoint_v1": (root / "checkpoint_v1.txt",
                           lambda f: backtest + synth + ["--checkpoint", f]),
-        "run_manifest": (run / "run_manifest.json",
-                         lambda f: ["report-cores", "--log", str(run / "core_change.csv"),
-                                    "--manifest", f, "--out-dir", str(out)]),
+        "core_change": (run / "core_change.csv",
+                        lambda f: ["report-cores", "--log", f, "--out-dir", str(out)]),
         "config": (root / "run.cfg", lambda f: backtest + ["--checkpoint", ckpt, "--config", f]),
         "data_manifest": (root / "data" / "manifest.csv",
                           lambda f: backtest + ["--checkpoint", ckpt, "--data-manifest", f]),
@@ -130,7 +129,7 @@ def assert_documented_exit(code, err):
 
 
 @pytest.mark.parametrize(
-    "kind", ["checkpoint_v2", "checkpoint_v1", "run_manifest", "config", "data_manifest"]
+    "kind", ["checkpoint_v2", "checkpoint_v1", "core_change", "config", "data_manifest"]
 )
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(op=st.sampled_from(MUTATIONS), at=st.integers(0, 2**31), value=st.integers(0, 2**31))

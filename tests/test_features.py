@@ -18,6 +18,7 @@ from ttrnn.features import (
     FEATURE_NAMES,
     InsufficientHistory,
     MisalignedDates,
+    MODE_LABELS,
     N_FEATURES,
     N_SLOTS,
     NonPositivePrice,
@@ -38,7 +39,6 @@ from ttrnn.features import (
     instrument_features,
     load_panel,
     log_diff,
-    mode_labels,
     movement_label,
     rel_hlc,
     rel_minmax,
@@ -580,13 +580,13 @@ class TestPanelCSV:
 
 class TestModeLabels:
     def test_semantic_labels_for_market_layout(self):
-        labels = mode_labels((2, 2, 5, 6, 4))
-        assert labels[3] == "class components (size 6)"
-        assert labels[4] == "asset classes (size 4)"
-
-    def test_generic_labels_otherwise(self):
-        labels = mode_labels((3, 3))
-        assert labels == ["data mode 1 (size 3)", "data mode 2 (size 3)"]
+        assert MODE_LABELS == (
+            "feature sub-mode 1 (size 2)",
+            "feature sub-mode 2 (size 2)",
+            "feature sub-mode 3 (size 5)",
+            "class components (size 6)",
+            "asset classes (size 4)",
+        )
 
 
 def test_only_features_holds_the_market_layout():
