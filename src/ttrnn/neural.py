@@ -15,6 +15,7 @@ import binascii
 import dataclasses
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .ttformat import (
 
 LABELS = (1, 0, -1)  # class indices 0, 1, 2
 N_CLASSES = 3
-CHECKPOINT_MAGIC = "ttrnn-model v2"
+CHECKPOINT_MAGIC = "ttrnn-model v3"
 
 
 class ShapeMismatch(ShapeError):
@@ -493,27 +494,56 @@ def evaluate(model: TTRNNModel, dataset):
 # --- checkpoint file ---------------------------------------------------------
 #
 # Header lines, then the TT core block in decimal (the readable part, which
-# the core-change report interprets), then one ``name <base64>`` line per
-# dense parameter: its little-endian float64 bytes, fastest-first.  A v1
-# checkpoint has the same layout with decimal dense lines.
+# the core-change report interprets), then each dense parameter as one
+# ``name <nbytes>`` line, its little-endian float64 bytes, fastest-first, and
+# one ``\n``.  A v2 checkpoint has one ``name <base64>`` line per dense
+# parameter instead, and a v1 one a line of decimal values.
 
 
-# the most bytes one piece encodes, unless 3 columns are more; a multiple of 3
-_B64_BLOCK = 3 << 14
+# the most bytes written at once, unless one column is more
+_RAW_BLOCK = 1 << 16
 
 
-def _b64_values(arr: np.ndarray):
-    """Yield the base64 text of ``arr``'s little-endian float64 bytes, fastest-first, in pieces.
+def _column_blocks(arr: np.ndarray):
+    """Yield ``arr``'s little-endian float64 bytes, fastest-first, in blocks of whole columns.
 
-    Each piece encodes whole F-order columns, a multiple of 3 of them, so its
-    byte count is a multiple of 3 and the pieces join into the one line
-    ``base64.b64encode`` would give; no copy of the whole array is made.
+    The blocks join into ``arr.tobytes(order="F")``, but no copy of the whole
+    array is made.
     """
     a = np.asarray(arr, dtype="<f8")
     columns = a.reshape(len(a), -1, order="F")
-    step = 3 * max(1, _B64_BLOCK // (3 * columns[:, :1].nbytes))
+    step = max(1, _RAW_BLOCK // columns[:, :1].nbytes)
     for j in range(0, columns.shape[1], step):
-        yield binascii.b2a_base64(columns[:, j : j + step].tobytes(order="F"), newline=False)
+        yield columns[:, j : j + step].tobytes(order="F")
+
+
+def _bytes_left(f) -> int:
+    """How many bytes of the file ``f`` lie past its position."""
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
+def _read_raw_values(f, text: bytes, shape) -> np.ndarray:
+    """Read the rest of a v3 ``name <nbytes>`` line and the bytes after it into an owned array.
+
+    ``text`` is the start of the byte count, already read.  The count must be
+    the shape's, and the file must hold that many bytes, before the array is
+    made.  ``f`` is left past the ``\n`` that ends the bytes.
+    """
+    line = text if text.endswith(b"\n") else text + f.readline(32)
+    count = line.rstrip(b"\n")
+    want = 8 * element_count(shape)
+    if not (line.endswith(b"\n") and count.isdigit()):
+        raise DataError(f"expected a byte count, got {count.decode('utf-8', 'replace')!r}")
+    if int(count) != want:
+        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {int(count)}")
+    left = _bytes_left(f)
+    if left < want:
+        raise DataError(f"expected {want} bytes, the file ends after {left}")
+    out = np.empty(want // 8, dtype="<f8")
+    f.readinto(memoryview(out).cast("B"))
+    if f.read(1) != b"\n":
+        raise DataError(f"no line end after the {want} bytes")
+    return out.reshape(shape, order="F").astype(np.float64, copy=False)
 
 
 # base64 characters read and decoded at a time: a multiple of 4, so each chunk decodes alone
@@ -521,14 +551,16 @@ _B64_CHUNK = 1 << 16
 
 
 def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
-    """Decode the rest of a :func:`_b64_values` line into an owned, writable float64 array.
+    """Decode the rest of a v2 base64 line into an owned, writable float64 array.
 
     ``text`` is the start of the line's values, a few bytes already read; the
     rest is read from ``f`` a chunk at a time, each chunk decoded into the
-    array.  ``f`` is left at the next line.
+    array.  A file too short to hold the values gets no array: its bytes are
+    only counted.  ``f`` is left at the next line.
     """
     want = 8 * element_count(shape)
-    out = np.empty(want // 8, dtype="<f8")
+    fits = 4 * -(-want // 3) <= len(text) + _bytes_left(f)
+    out = np.empty(want // 8 if fits else 0, dtype="<f8")
     into = memoryview(out).cast("B")
     got = 0
     chunk = text if text.endswith(b"\n") else text + f.read(_B64_CHUNK - len(text))
@@ -544,7 +576,7 @@ def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
             raise DataError("not valid base64") from None
         if not last and len(raw) < len(chunk) // 4 * 3:  # padding before the line's end
             raise DataError("not valid base64")
-        if got + len(raw) <= want:  # past that, the bytes are only counted
+        if got + len(raw) <= len(into):  # past that, the bytes are only counted
             into[got : got + len(raw)] = raw
         got += len(raw)
         if last:
@@ -557,16 +589,24 @@ def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
 
 def _read_decimal_values(f, text: bytes, shape) -> np.ndarray:
     """Decode the rest of a v1 dense line, decimal values in UTF-8 text, read whole."""
+    n = element_count(shape)
+    room = (len(text) + _bytes_left(f) + 1) // 2  # each value takes a digit and a separator
+    if room < n:
+        raise DataError(f"expected {n} values, the file has room for at most {room}")
     line = text if text.endswith(b"\n") else text + f.readline()
     return _parse_values(str(line, "utf-8"), shape)
 
 
-# the dense-line decoder of each checkpoint version, keyed by its first line
-_DENSE_DECODERS = {CHECKPOINT_MAGIC: _read_b64_values, "ttrnn-model v1": _read_decimal_values}
+# the dense-entry decoder of each checkpoint version, keyed by its first line
+_DENSE_DECODERS = {
+    CHECKPOINT_MAGIC: _read_raw_values,
+    "ttrnn-model v2": _read_b64_values,
+    "ttrnn-model v1": _read_decimal_values,
+}
 
 
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
-    """Write a checkpoint: header, decimal TT core block, base64 dense parameter lines."""
+    """Write a checkpoint: header, decimal TT core block, then each dense parameter's bytes."""
     lines = [
         CHECKPOINT_MAGIC,
         f"seed {seed}",
@@ -578,18 +618,20 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
     with replacing(path, "wb") as f:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in dense_shapes(model.hidden_size):
-            f.write(name.encode("ascii") + b" ")
-            f.writelines(_b64_values(params[name]))
+            f.write(f"{name} {8 * params[name].size}\n".encode("ascii"))
+            f.writelines(_column_blocks(params[name]))
             f.write(b"\n")
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
-    """Read a :func:`save_model` checkpoint, or a v1 one with decimal dense lines.
+    """Read a :func:`save_model` checkpoint, or a v2 or v1 one with base64 or decimal dense lines.
 
     Read a line at a time: the 4 header lines and the ``ttmat`` core block are
-    UTF-8 text.  Each dense line's name is read, then its version's decoder
-    reads the rest of the line: v2 in chunks, so no dense line is held whole.  A
-    malformed file or a non-finite parameter value raises DataError.
+    UTF-8 text.  Each dense entry's name is read, then its version's decoder
+    reads the rest: v3's bytes straight into the array, v2's base64 in chunks,
+    so no dense line is held whole.  A v2 or v1 line of an unknown name is
+    skipped; in v3 it is an error, as raw bytes cannot be skipped a line at a
+    time.  A malformed file or a non-finite parameter value raises DataError.
     """
     with reading(path, "rb") as f:
         magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
@@ -615,6 +657,8 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
             cut = start.find(b" ")  # a line without a name is skipped, as unknown names are
             name = start[:cut].decode("utf-8", "replace") if cut >= 0 else ""
             if name not in shapes:
+                if decode is _read_raw_values:
+                    raise DataError(f"unknown entry {name!r}")
                 if not start.endswith(b"\n"):
                     f.readline()
                 continue
@@ -629,6 +673,7 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
             raise DataError(f"checkpoint has no {', '.join(missing)} line")
         model = TTRNNModel.from_params(params)
         for name, values in model.named_params():
-            if not np.all(np.isfinite(values)):
+            # min and max are NaN or infinite if any value is, and need no mask the size of values
+            if not (np.isfinite(values.min()) and np.isfinite(values.max())):
                 raise DataError(f"{name} has non-finite values")
     return model, meta

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from memtrace import traced_peak
+from test_neural import save_model_v2
 from ttrnn import features
 from ttrnn.cli import build_parser, main
 from ttrnn.config import RunConfig
@@ -28,8 +29,8 @@ FAST = [
 ]
 
 
-def write_zero_checkpoint(path):
-    """Checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
+def write_zero_checkpoint(path, save=save_model):
+    """``save``'s checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
     in_dims, hidden = (2, 2, 5, 6, 4), (2, 2, 2, 2, 2)
     ranks = (1, 2, 2, 2, 2, 1)
     cores = [
@@ -43,7 +44,7 @@ def write_zero_checkpoint(path):
         head_weights=np.zeros((3, 32)),
         head_bias=np.zeros(3),
     )
-    save_model(TTRNNModel.from_params(params), path)
+    save(TTRNNModel.from_params(params), path)
 
 
 def b64_floats(text):
@@ -469,7 +470,7 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("field, row", [("core2", 7), ("feedback", 11), ("head_bias", 13)])
     def test_non_finite_checkpoint_value(self, tmp_path, capsys, field, row):
         ckpt = tmp_path / "model.txt"
-        write_zero_checkpoint(ckpt)
+        write_zero_checkpoint(ckpt, save_model_v2)
         lines = ckpt.read_text().splitlines()
         if field.startswith("core"):  # the decimal TT core block
             lines[row] = lines[row].replace("0.0", "nan", 1)
@@ -496,7 +497,7 @@ class TestBadInputExitCodes:
     )
     def test_damaged_base64_line(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "model.txt"
-        write_zero_checkpoint(ckpt)
+        write_zero_checkpoint(ckpt, save_model_v2)
         lines = ckpt.read_text().splitlines()
         name, _, text = lines[11].partition(" ")
         assert name == "feedback"
@@ -520,7 +521,7 @@ class TestBadInputExitCodes:
     )
     def test_repeated_checkpoint_entry(self, tmp_path, capsys, damage, message):
         ckpt = tmp_path / "model.txt"
-        write_zero_checkpoint(ckpt)
+        write_zero_checkpoint(ckpt, save_model_v2)
         lines = ckpt.read_text().splitlines()
         assert lines[4].startswith("ttmat ") and lines[11].startswith("feedback ")
         ckpt.write_text("\n".join(damage(lines)) + "\n")
@@ -568,7 +569,7 @@ class TestBadInputExitCodes:
 
     def test_non_ascii_byte_in_base64_line(self, tmp_path, capsys):
         ckpt = tmp_path / "model.txt"
-        write_zero_checkpoint(ckpt)
+        write_zero_checkpoint(ckpt, save_model_v2)
         lines = ckpt.read_bytes().split(b"\n")
         assert lines[11].startswith(b"feedback ")
         lines[11] = lines[11][:20] + b"\xe9" + lines[11][21:]
@@ -577,6 +578,83 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: feedback: not valid base64\n", err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob, at: blob.replace(b"\nfeedback 8192\n", b"\nfeedback 8184\n"),
+             "feedback: expected 8192 bytes (1024 float64 values), got 8184"),
+            (lambda blob, at: blob.replace(b"\nfeedback 8192\n", b"\nfeedback 8l92\n"),
+             "feedback: expected a byte count, got '8l92'"),
+            (lambda blob, at: blob[: at + 4096],
+             "feedback: expected 8192 bytes, the file ends after 4096"),
+            (lambda blob, at: blob[: at + 8192] + b"x" + blob[at + 8193 :],
+             "feedback: no line end after the 8192 bytes"),
+            (lambda blob, at: blob[: at + 8192], "feedback: no line end after the 8192 bytes"),
+            (lambda blob, at: blob + blob[at - len("feedback 8192\n") : at + 8193],
+             "feedback line appears twice"),
+            (lambda blob, at: blob + b"extra 8\n" + bytes(8) + b"\n", "unknown entry 'extra'"),
+        ],
+        ids=["wrong-byte-count", "non-numeric-byte-count", "cut-inside-the-bytes", "no-line-end",
+             "cut-after-the-bytes", "repeated-entry", "unknown-name"],
+    )
+    def test_damaged_v3_entry(self, tmp_path, capsys, damage, message):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        blob = ckpt.read_bytes()
+        at = blob.index(b"\nfeedback 8192\n") + len(b"\nfeedback 8192\n")  # the feedback bytes
+        ckpt.write_bytes(damage(blob, at))
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: {message}\n", err
+
+    @pytest.mark.parametrize(
+        "field, nbytes, value",
+        [("bias", 256, np.nan), ("feedback", 8192, np.inf), ("head_bias", 24, -np.inf)],
+    )
+    def test_non_finite_v3_value(self, tmp_path, capsys, field, nbytes, value):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        blob = ckpt.read_bytes()
+        entry = f"\n{field} {nbytes}\n".encode("ascii")
+        at = blob.index(entry) + len(entry) + nbytes - 8  # the last value
+        ckpt.write_bytes(blob[:at] + np.float64(value).tobytes() + blob[at + 8 :])
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: {field} has non-finite values\n", err
+
+    @pytest.mark.parametrize(
+        "version, feedback",
+        [
+            ("v1", b"feedback 0.0 0.0\n"),
+            ("v2", b"feedback AAAAAAAAAAA=\n"),
+            ("v3", b"feedback %d\n%s\n" % (8 << 40, bytes(16))),
+        ],
+        ids=["v1", "v2", "v3"],
+    )
+    def test_unallocatable_hidden_size(self, tmp_path, capsys, monkeypatch, version, feedback):
+        # hidden 2^20: its feedback matrix would be 8 TiB.  Dense entries load in
+        # any order, so the feedback entry comes first and no 8 MB bias is needed.
+        n = 1 << 20
+        ckpt = tmp_path / "model.txt"
+        ckpt.write_bytes(b"\n".join([
+            b"ttrnn-model " + version.encode("ascii"), b"seed 0", b"epoch 0", b"hidden_dims %d" % n,
+            b"ttmat in=1 out=%d ranks=1,1" % n, b"0 " * (n - 1) + b"0", feedback,
+        ]))
+        empty = np.empty
+
+        def small_empty(shape, *args, **kwargs):
+            assert np.prod(shape, dtype=np.int64) <= n, f"np.empty{shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", small_empty)
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: feedback: expected "), err
+        assert err.count("\n") == 1, err
 
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,7 @@
 """No damaged input file ends in a traceback: ``cli.main`` on mutated run files.
 
 Each example damages one input of a command that succeeds on the clean
-file: a v1 or v2 checkpoint of a hidden 2^5, rank 2 model, a
+file: a v3, v2 or v1 checkpoint of a hidden 2^5, rank 2 model, a
 ``core_change.csv``, a ``--config`` file or a panel manifest.  The
 command must end with a documented exit code and at most one stderr line,
 and a report it writes must hold no NaN or infinity.  In process, a numpy
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import ttrnn
 from test_cli import FAST
-from test_neural import save_model_v1
+from test_neural import save_model_v1, save_model_v2
 from ttrnn.cli import main
 from ttrnn.neural import load_model
 
@@ -44,7 +44,8 @@ seed = 11
 """
 
 NUMBER = re.compile(rb"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
-MUTATIONS = ("truncate", "flip", "invalid_utf8", "drop_line", "duplicate_line", "number", "empty")
+MUTATIONS = ("truncate", "flip", "invalid_utf8", "drop_line", "duplicate_line", "number", "value",
+             "empty")
 
 
 def mutate(blob: bytes, op: str, at: int, value: int) -> bytes:
@@ -64,10 +65,13 @@ def mutate(blob: bytes, op: str, at: int, value: int) -> bytes:
     if op == "duplicate_line":
         k = at % len(lines)
         return b"".join(lines[: k + 1] + lines[k:])
-    if op == "number":
+    if op in ("number", "value"):
         spans = [m.span() for m in NUMBER.finditer(blob)]
+        if op == "value":  # one with a fraction or an exponent, not a count, where there is one
+            spans = [(s, e) for s, e in spans if re.search(rb"[.eE]", blob[s:e])] or spans
         start, end = spans[at % len(spans)]
-        return blob[:start] + (b"nan", b"x", b"1e999")[value % 3] + blob[end:]
+        new = (b"nan", b"x", b"1e999") if op == "number" else (b"nan", b"inf", b"-inf", b"1e999")
+        return blob[:start] + new[value % len(new)] + blob[end:]
     return b""
 
 
@@ -80,13 +84,16 @@ def run_files(tmp_path_factory):
                  ["synth", "--out-dir", str(root), "--synth-days", "60", "--seed", "11"]):
         assert quiet_main(argv)[0] == 0
     model, meta = load_model(run / "checkpoint.txt")
+    save_model_v2(model, root / "checkpoint_v2.txt", **meta)
     save_model_v1(model, root / "checkpoint_v1.txt", **meta)
     (root / "run.cfg").write_text(CONFIG)
     ckpt = str(run / "checkpoint.txt")
     backtest = ["backtest", "--out-dir", str(out), "--seed", "11"]
     synth = ["--synth-days", "60"]
     return out, {
-        "checkpoint_v2": (run / "checkpoint.txt", lambda f: backtest + synth + ["--checkpoint", f]),
+        "checkpoint_v3": (run / "checkpoint.txt", lambda f: backtest + synth + ["--checkpoint", f]),
+        "checkpoint_v2": (root / "checkpoint_v2.txt",
+                          lambda f: backtest + synth + ["--checkpoint", f]),
         "checkpoint_v1": (root / "checkpoint_v1.txt",
                           lambda f: backtest + synth + ["--checkpoint", f]),
         "core_change": (run / "core_change.csv",
@@ -129,7 +136,8 @@ def assert_documented_exit(code, err):
 
 
 @pytest.mark.parametrize(
-    "kind", ["checkpoint_v2", "checkpoint_v1", "core_change", "config", "data_manifest"]
+    "kind",
+    ["checkpoint_v3", "checkpoint_v2", "checkpoint_v1", "core_change", "config", "data_manifest"],
 )
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(op=st.sampled_from(MUTATIONS), at=st.integers(0, 2**31), value=st.integers(0, 2**31))
@@ -144,11 +152,13 @@ def test_damaged_input_gets_a_documented_exit(run_files, kind, op, at, value):
 @pytest.mark.parametrize(
     "kind, op, where, code",
     [
+        # inside the feedback bytes, which follow a 'feedback 8192' line
+        ("checkpoint_v3", "truncate", lambda clean: clean.index(b"\nfeedback 8192\n") + 4096, 3),
         ("checkpoint_v2", "truncate", lambda clean: len(clean) // 2, 3),  # inside feedback
         ("config", "number", lambda clean: 6, 2),  # batch_size = x
         ("data_manifest", "flip", lambda clean: clean.index(b"EQ2.csv"), 1),  # GQ2.csv
     ],
-    ids=["checkpoint_v2", "config", "data_manifest"],
+    ids=["checkpoint_v3", "checkpoint_v2", "config", "data_manifest"],
 )
 def test_damaged_input_in_a_fresh_process(run_files, kind, op, where, code):
     """The exit code and message as ``python -m ttrnn`` gives them, without a traceback."""

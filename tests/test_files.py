@@ -31,14 +31,14 @@ class TestAtomicWrites:
         neural.save_model(small_model(1), ckpt)
         old = ckpt.read_bytes()
         model = small_model(2)
-        encode = neural._b64_values
+        blocks = neural._column_blocks
 
         def fail_on_feedback(values):
-            if values is model.feedback:
+            yield from blocks(values)
+            if values is model.feedback:  # its bytes are written, its line end is not
                 raise RuntimeError("disk full")
-            return encode(values)
 
-        monkeypatch.setattr(neural, "_b64_values", fail_on_feedback)
+        monkeypatch.setattr(neural, "_column_blocks", fail_on_feedback)
         with pytest.raises(RuntimeError, match="disk full"):
             neural.save_model(model, ckpt)
         assert ckpt.read_bytes() == old

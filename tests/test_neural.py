@@ -52,7 +52,7 @@ from ttrnn.neural import (
     ttrnn_cell_forward,
 )
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix, mpo_core_grads, mpo_to_matrix, tt_param_count
+from ttrnn.ttformat import TTMatrix, format_tt_matrix, mpo_core_grads, mpo_to_matrix, tt_param_count
 
 
 def tiny_model(seed=7, in_dims=(2, 2, 2), hidden=(2, 2, 2), ranks=(1, 2, 2, 1)):
@@ -937,24 +937,45 @@ class TestCheckpoint:
         "damage",
         [
             lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
-            lambda lines: lines[:3] + [lines[3].replace("hidden_dims", "any_word")] + lines[4:],
-            lambda lines: [lines[0], "seed 5 6"] + lines[2:],
+            lambda lines: lines[:3] + [lines[3].replace(b"hidden_dims", b"any_word")] + lines[4:],
+            lambda lines: [lines[0], b"seed 5 6"] + lines[2:],
         ],
         ids=["seed-and-epoch-swapped", "other-dims-key", "extra-value"],
     )
     def test_header_keys_are_checked(self, tmp_path, damage):
         path = tmp_path / "model.txt"
         save_model(tiny_model(seed=25), path, seed=5, epoch=3)
-        lines = path.read_text().split("\n")
-        path.write_text("\n".join(damage(lines)))
+        head = path.read_bytes().split(b"\n", 4)  # the 4 header lines, then the rest
+        path.write_bytes(b"\n".join(damage(head[:4]) + head[4:]))
         message = f"{path}: malformed checkpoint header"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
+    def test_v3_layout(self, tmp_path):
+        model = tiny_model(seed=21)
+        path = tmp_path / "model.txt"
+        save_model(model, path, seed=5, epoch=7)
+        lines = path.read_bytes().split(b"\n", 8)
+        assert lines[:5] == [b"ttrnn-model v3", b"seed 5", b"epoch 7", b"hidden_dims 2,2,2",
+                             b"ttmat in=2,2,2 out=2,2,2 ranks=1,2,2,1"]
+        for line, core in zip(lines[5:8], model.cores):
+            assert [float(x) for x in line.split()] == core.ravel(order="F").tolist()
+        dense = [
+            ("bias", model.input_layer.bias.data),
+            ("feedback", model.feedback),
+            ("head_weights", model.head_weights),
+            ("head_bias", model.head_bias),
+        ]
+        entries = b""
+        for name, values in dense:
+            raw = np.asarray(values, dtype="<f8").tobytes(order="F")
+            entries += f"{name} {len(raw)}\n".encode("ascii") + raw + b"\n"
+        assert lines[8] == entries
+
     def test_v2_layout(self, tmp_path):
         model = tiny_model(seed=21)
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_model_v2(model, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "ttrnn-model v2"
         assert lines[4] == "ttmat in=2,2,2 out=2,2,2 ranks=1,2,2,1"
@@ -994,22 +1015,44 @@ class TestCheckpoint:
             assert a.tobytes() == b.tobytes(), na
             assert b.dtype == np.float64 and b.flags.writeable
 
+    def test_v2_checkpoint_saves_as_v3_bit_exact(self, tmp_path):
+        model = tiny_model(seed=28)  # every edge value in every parameter
+        model = rebuild_model(model, [np.resize(FLOAT_EDGES, a.shape) for _, a in model.named_params()])
+        save_model_v2(model, tmp_path / "v2.txt", seed=4, epoch=9)
+        old, meta = load_model(tmp_path / "v2.txt")
+        save_model(old, tmp_path / "v3.txt", **meta)
+        back, meta = load_model(tmp_path / "v3.txt")
+        assert meta == {"seed": 4, "epoch": 9}
+        assert (tmp_path / "v3.txt").read_bytes().startswith(b"ttrnn-model v3\n")
+        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
+            assert na == nb and a.tobytes(order="F") == b.tobytes(order="F"), na
+
     def test_load_holds_each_dense_line_once(self, tmp_path):
         # hidden 256: the dense lines are 0.7 MB of base64, the rest a few kB
         model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(24))
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_model_v2(model, path)
         dense = sum(map(len, path.read_bytes().split(b"\n")[-5:]))
         _, peak = traced_peak(load_model, path)
         # the arrays, 3/4 of their base64 text, and one chunk of it with its bytes;
         # a dense line read whole, or decoded whole and then copied, would be one more
         assert peak < 1.2 * dense, peak / dense
 
+    def test_load_reads_dense_bytes_into_their_arrays(self, tmp_path):
+        # hidden 256: the dense parameters are 0.5 MB, the rest a few kB
+        model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(24))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        dense = sum(values.nbytes for name, values in model.named_params() if "core" not in name)
+        _, peak = traced_peak(load_model, path)
+        # the arrays alone; one more copy of the feedback matrix's bytes would be 1.9x
+        assert peak < 1.05 * dense, peak / dense
+
     def test_save_holds_no_copy_of_a_dense_array(self, tmp_path):
         # the paper's full size: the 1024 x 1024 feedback matrix is 8 MiB, a column 8 KiB
         model = init_model((2, 2, 5, 6, 4), (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(27))
         path = tmp_path / "model.txt"
-        _, peak = traced_peak(save_model, model, path)
+        _, peak = traced_peak(save_model_v2, model, path)
         # a block of columns and its base64 text; a copy of the feedback
         # matrix's bytes and its whole base64 line would be 24 MiB
         assert peak < 1 << 20, peak / 2**20
@@ -1017,6 +1060,20 @@ class TestCheckpoint:
         for line, name in zip(lines, neural.dense_shapes(model.hidden_size), strict=True):
             raw = np.asarray(dict(model.named_params())[name], dtype="<f8").tobytes(order="F")
             assert line == name.encode("ascii") + b" " + base64.b64encode(raw), name
+
+    def test_v3_save_holds_no_copy_of_a_dense_array(self, tmp_path):
+        # the paper's full size: the 1024 x 1024 feedback matrix is 8 MiB, a column 8 KiB
+        model = init_model((2, 2, 5, 6, 4), (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(27))
+        path = tmp_path / "model.txt"
+        _, peak = traced_peak(save_model, model, path)
+        # a block of columns; a copy of the feedback matrix's bytes would be 8 MiB
+        assert peak < 1 << 20, peak / 2**20
+        params = dict(model.named_params())
+        entries = b""
+        for name in neural.dense_shapes(model.hidden_size):
+            raw = np.asarray(params[name], dtype="<f8").tobytes(order="F")
+            entries += f"{name} {len(raw)}\n".encode("ascii") + raw + b"\n"
+        assert path.read_bytes().endswith(entries)
 
     @pytest.mark.parametrize(
         "damage",
@@ -1036,7 +1093,7 @@ class TestCheckpoint:
         # hidden 256: the feedback line is over ten chunks of base64
         model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(26))
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_model_v2(model, path)
         lines = path.read_bytes().split(b"\n")
         assert lines[-4].startswith(b"feedback ") and lines[-1] == b""
         text = damage(lines[-4].partition(b" ")[2])
@@ -1099,3 +1156,39 @@ def save_model_v1(model, path, seed=0, epoch=0):
         "head_bias " + decimal(model.head_bias),
     ]
     path.write_text("\n".join(lines) + "\n")
+
+
+# the most bytes one base64 piece encodes, unless 3 columns are more; a multiple of 3
+_B64_BLOCK = 3 << 14
+
+
+def _b64_values(arr):
+    """Yield the base64 text of ``arr``'s little-endian float64 bytes, fastest-first, in pieces.
+
+    Each piece encodes whole F-order columns, a multiple of 3 of them, so its
+    byte count is a multiple of 3 and the pieces join into the one line
+    ``base64.b64encode`` would give; no copy of the whole array is made.
+    """
+    a = np.asarray(arr, dtype="<f8")
+    columns = a.reshape(len(a), -1, order="F")
+    step = 3 * max(1, _B64_BLOCK // (3 * columns[:, :1].nbytes))
+    for j in range(0, columns.shape[1], step):
+        yield binascii.b2a_base64(columns[:, j : j + step].tobytes(order="F"), newline=False)
+
+
+def save_model_v2(model, path, seed=0, epoch=0):
+    """Write ``model`` in the v2 checkpoint layout: one base64 line per dense parameter."""
+    lines = [
+        "ttrnn-model v2",
+        f"seed {seed}",
+        f"epoch {epoch}",
+        "hidden_dims " + ",".join(map(str, model.hidden_dims)),
+        format_tt_matrix(model.input_layer.weights).rstrip("\n"),
+    ]
+    params = dict(model.named_params())
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for name in neural.dense_shapes(model.hidden_size):
+            f.write(name.encode("ascii") + b" ")
+            f.writelines(_b64_values(params[name]))
+            f.write(b"\n")
