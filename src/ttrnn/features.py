@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .files import csv_columns, reading, write_csv
+from .files import csv_columns, csv_table, reading, write_csv
 from .rng import stream_rng
 from .tensor import DenseTensor, reshape
 
@@ -626,23 +626,18 @@ def read_panel(entries) -> AssetPanel:
     per_instrument = []
     common = None
     iso_dates = set()  # each distinct date string is checked once
+    last = None  # the previous file's dates: a file that repeats them changes no date set
     for _, path in entries:
         with reading(path) as f:
-            _, dates, *columns = csv_columns(f, PANEL_HEADER)
-            own = set(dates)
-            try:  # whole columns first; a fault is then found row by row, as it is reported
-                if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
-                    raise ValueError
-                values = np.array([list(map(float, column)) for column in columns])  # (5, days)
-                if not np.isfinite(values).all():
-                    raise ValueError
-            except (TypeError, ValueError):
-                _raise_first_bad_row(dates, columns)
-            iso_dates |= own
-            common = own if common is None else common & own
-            if not common:
-                raise MisalignedDates("instrument files share no common dates")
+            dates, values = _read_instrument(f, iso_dates, last)
+            if dates != last:
+                own = set(dates)
+                iso_dates |= own
+                common = own if common is None else common & own
+                if not common:
+                    raise MisalignedDates("instrument files share no common dates")
         per_instrument.append((dates, values))
+        last = dates
     dates = sorted(common)
 
     table = np.empty((len(PANEL_SERIES), len(entries), len(dates)))
@@ -657,6 +652,36 @@ def read_panel(entries) -> AssetPanel:
         dates=dates,
         **{name: rows.T for name, rows in zip(PANEL_SERIES, table)},
     )
+
+
+def _read_instrument(f, iso_dates, last):
+    """The dates and (5, days) values of an open instrument CSV, checked as :func:`_clean`.
+
+    numpy's reader (:func:`csv_table`) reads a file it can vouch for.  Any other file, and
+    one it reads unclean, is read again by the csv module, which names the first bad row.
+    """
+    table = csv_table(f, PANEL_HEADER)
+    if table is not None and _clean(*table, iso_dates, last):
+        return table
+    f.seek(0)
+    _, dates, *columns = csv_columns(f, PANEL_HEADER)
+    try:  # whole columns first; a fault is then found row by row, as it is reported
+        values = np.array([list(map(float, column)) for column in columns])  # (5, days)
+        if _clean(dates, values, iso_dates, last):
+            return dates, values
+    except (TypeError, ValueError):
+        pass
+    _raise_first_bad_row(dates, columns)
+
+
+def _clean(dates, values, iso_dates, last) -> bool:
+    """True if ``values`` are finite and ``dates`` distinct YYYY-MM-DD dates: the already
+    checked ``last``, or dates whose strings not in ``iso_dates`` pass :func:`_is_iso_date`."""
+    if dates != last:
+        own = set(dates)
+        if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
+            return False
+    return bool(np.isfinite(values).all())
 
 
 def _raise_first_bad_row(dates, columns):

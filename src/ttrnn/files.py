@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import operator
 import os
+
+import numpy as np
 
 from .errors import DataError
 
@@ -63,6 +66,38 @@ def csv_columns(f, header):
             lines.append(reader.line_num)
             rows.append(row if len(row) >= len(names) else row + [None] * (len(names) - len(row)))
     return [lines, *(list(map(operator.itemgetter(names.index(c)), rows)) for c in header)]
+
+
+def csv_table(f, header):
+    """The first column, as a list, and the rest, as a (columns, rows) float array, of the open
+    CSV ``f`` read by numpy's C reader; None where :func:`csv_columns` might read it otherwise.
+
+    It vouches only for UTF-8 text whose first line is exactly ``header``, with at least one
+    row, no line longer than the csv module's field limit, no NUL or ``\\x1c``-``\\x1f``
+    character and ``len(header)`` cells in every non-empty row, each after the first a number
+    numpy parses: an ASCII float, spaces around it allowed, which Python's ``float`` reads to
+    the same bits.  A first cell is kept to 11 characters, one more than a YYYY-MM-DD date,
+    so a longer one stays no date.
+    """
+    try:
+        text = f.read()
+    except UnicodeDecodeError:  # csv_columns may meet another fault first
+        return None
+    first, _, rest = text.partition("\n")
+    if first.removesuffix("\r") != ",".join(header) or not rest.strip():
+        return None  # another header, or no row: numpy would warn of an empty input
+    limit = csv.field_size_limit()
+    if len(rest) > limit and max(map(len, rest.split("\n"))) > limit:
+        return None  # a cell may be over the csv module's limit; numpy's reader has none
+    if any(c in rest for c in "\x00\x1c\x1d\x1e\x1f"):
+        return None  # numpy drops a string's trailing NULs, and reads \x1c-\x1f as space
+    dtype = [("", "U11")] + [("", "f8")] * (len(header) - 1)
+    try:
+        first_column, *columns = np.loadtxt(io.StringIO(rest, newline=""), dtype=dtype,
+                                            delimiter=",", comments=None, ndmin=1, unpack=True)
+    except ValueError:
+        return None
+    return first_column.tolist(), np.array(columns)
 
 
 @contextlib.contextmanager

@@ -11,6 +11,15 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ttrnn.features import (
+    PANEL_HEADER,
+    PANEL_SERIES,
+    AssetPanel,
+    MisalignedDates,
+    _is_iso_date,
+    _raise_first_bad_row,
+)
+from ttrnn.files import csv_columns, reading
 from ttrnn.neural import (
     LABELS,
     TTLinearLayer,
@@ -313,3 +322,47 @@ def rolling_stats_per_window(values, window: int):
                 m4 = (dev**4).mean()
                 out[:, row, t] = mu, math.sqrt(m2), m3 / m2**1.5, m4 / m2**2
     return tuple(out)
+
+
+# --- the panel CSVs through the csv module alone --------------------------------
+
+
+def read_panel_csv(entries):
+    """`features.read_panel` with every file read by the csv module and Python's ``float``.
+
+    numpy's reader must give this panel bit for bit, or the same DataError
+    class and message.
+    """
+    per_instrument = []
+    common = None
+    iso_dates = set()  # each distinct date string is checked once
+    for _, path in entries:
+        with reading(path) as f:
+            _, dates, *columns = csv_columns(f, PANEL_HEADER)
+            own = set(dates)
+            try:  # whole columns first; a fault is then found row by row, as it is reported
+                if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
+                    raise ValueError
+                values = np.array([list(map(float, column)) for column in columns])  # (5, days)
+                if not np.isfinite(values).all():
+                    raise ValueError
+            except (TypeError, ValueError):
+                _raise_first_bad_row(dates, columns)
+            iso_dates |= own
+            common = own if common is None else common & own
+            if not common:
+                raise MisalignedDates("instrument files share no common dates")
+        per_instrument.append((dates, values))
+    dates = sorted(common)
+
+    table = np.empty((len(PANEL_SERIES), len(entries), len(dates)))
+    for k, (own_dates, values) in enumerate(per_instrument):
+        if own_dates != dates:
+            at = {date: i for i, date in enumerate(own_dates)}
+            values = values[:, [at[date] for date in dates]]
+        table[:, k] = values
+    return AssetPanel(
+        instruments=[meta for meta, _ in entries],
+        dates=dates,
+        **{name: rows.T for name, rows in zip(PANEL_SERIES, table)},
+    )

@@ -5,18 +5,27 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import read_panel_csv
 
 import ttrnn
 from ttrnn import neural
 from ttrnn.cli import main
 from ttrnn.errors import DataError
-from ttrnn.features import SynthConfig, load_panel, read_manifest, synth_panel, write_panel
+from ttrnn.features import (
+    PANEL_SERIES,
+    SynthConfig,
+    load_panel,
+    read_manifest,
+    synth_panel,
+    write_panel,
+)
 from ttrnn.files import write_csv
 from ttrnn.interpret import core_change, read_core_change_csv, write_core_change_csv
 
@@ -76,7 +85,9 @@ def test_oversized_csv_field_is_data_error(tmp_path, capsys):
 
 # --- a fuzz property over the CSVs a run reads --------------------------------
 
-CELLS = ["nan", "x", "1e999", ""]
+# the last six probe where numpy's reader and Python's float part: spaces, a sign, an
+# underscore, a non-ASCII digit, quotes and a date cell longer than a date
+CELLS = ["nan", "x", "1e999", "", " 1.5", "+1.5", "1_5", "\u0661.5", '"1.5"', "2006-05-01x"]
 
 
 def damaged(data: bytes, kind, at, column, cell) -> bytes:
@@ -101,7 +112,8 @@ def damaged(data: bytes, kind, at, column, cell) -> bytes:
 
 @pytest.fixture(scope="module")
 def run_files(tmp_path_factory):
-    """A 50-day panel's CSVs and a core_change.csv, with the reader of each."""
+    """A 50-day panel's CSVs and a core_change.csv, with the reader of each and, for an
+    instrument CSV, the csv-only reader it must agree with."""
     root = tmp_path_factory.mktemp("run_files")
     manifest = Path(write_panel(synth_panel(SynthConfig(days=50), 3), root / "data"))
     rng = np.random.default_rng(4)
@@ -109,10 +121,19 @@ def run_files(tmp_path_factory):
     log = core_change([[rng.normal(size=s) for s in shapes] for _ in range(4)])
     write_core_change_csv(log, root / "core_change.csv")
     return {
-        "core_change.csv": (root / "core_change.csv", read_core_change_csv),
-        "manifest.csv": (manifest, read_manifest),
-        "EQ3.csv": (manifest.parent / "EQ3.csv", lambda _: load_panel(manifest)),
+        "core_change.csv": (root / "core_change.csv", read_core_change_csv, None),
+        "manifest.csv": (manifest, read_manifest, None),
+        "EQ3.csv": (manifest.parent / "EQ3.csv", lambda _: load_panel(manifest),
+                    lambda _: read_panel_csv(read_manifest(manifest))),
     }
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, or the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return exc
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -124,16 +145,59 @@ def run_files(tmp_path_factory):
     cell=st.sampled_from(CELLS),
 )
 @example(name="core_change.csv", kind="xff", at=40, column=0, cell="")
+@example(name="EQ3.csv", kind="cell", at=5, column=3, cell="1_5")  # numpy refuses, csv reads
+@example(name="EQ3.csv", kind="cell", at=5, column=3, cell="\x1c1.5")  # numpy reads, csv refuses
+@example(name="EQ3.csv", kind="cell", at=5, column=0, cell="2006-05-05\x00")  # numpy drops \x00
 def test_damaged_csv_is_read_or_is_data_error(run_files, name, kind, at, column, cell):
-    path, read = run_files[name]
+    """A damaged run CSV is read or is a DataError.  An instrument CSV gives the csv-only
+    reader's panel, bit for bit, or its DataError class and message."""
+    path, read, oracle = run_files[name]
     original = path.read_bytes()
     path.write_bytes(damaged(original, kind, at, column, cell))
     try:
-        read(path)
-    except DataError:
-        pass
+        got = outcome(read, path)
+        want = oracle and outcome(oracle, path)
     finally:
         path.write_bytes(original)
+    if isinstance(want, DataError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    elif want is not None:
+        assert not isinstance(got, DataError), got
+        assert got.dates == want.dates
+        for series in PANEL_SERIES:
+            assert np.array_equal(getattr(got, series), getattr(want, series)), series
+
+
+def with_cell(lines, row, column, value):
+    """``lines`` with the cell at ``column`` of line ``row`` set to ``value``."""
+    cells = lines[row].split(",")
+    cells[column] = value
+    return [*lines[:row], ",".join(cells), *lines[row + 1:]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:1], "instrument files share no common dates"),
+        (lambda lines: [lines[0], "", "", ""], "instrument files share no common dates"),
+        (lambda lines: with_cell(lines, 5, 4, "0." + "0" * 131070 + "1"),
+         "field larger than field limit (131072)"),
+        (lambda lines: with_cell(lines, 5, 0, "2006-05-05T00"),
+         "date '2006-05-05T00' is not a YYYY-MM-DD date"),
+    ],
+    ids=["header-only", "header-and-blank-lines", "numeric-cell-over-field-limit", "long-date"],
+)
+def test_instrument_csv_left_to_the_csv_module_exits_3(tmp_path, capsys, edit, message):
+    """An instrument CSV numpy's reader leaves to the csv module exits 3 with its one-line
+    message, and no warning escapes numpy on the way."""
+    manifest = write_panel(synth_panel(SynthConfig(days=40), 5), tmp_path / "data")
+    path = tmp_path / "data" / "EQ3.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["features", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
 
 # --- the pipeline under a locale that is not UTF-8 ------------------------------
@@ -186,9 +250,10 @@ def test_pipeline_reads_utf8_under_the_c_locale(tmp_path):
 
 
 def test_run_files_are_handled_only_in_files():
-    """Outside files: no module imports csv, calls json.dump, open or os.makedirs, or
-    names UnicodeDecodeError."""
+    """Outside files: no module imports csv, calls json.dump, open, os.makedirs or numpy's
+    text readers (np.loadtxt, np.genfromtxt), or names UnicodeDecodeError."""
     package = Path(ttrnn.__file__).parent
+    text_readers = ("loadtxt", "genfromtxt")
     for source in package.glob("*.py"):
         if source.stem == "files":
             continue
@@ -203,5 +268,7 @@ def test_run_files_are_handled_only_in_files():
                 assert getattr(node.value, "id", None) != "json", where
             if isinstance(node, ast.Attribute) and node.attr == "makedirs":
                 assert getattr(node.value, "id", None) != "os", where
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in text_readers, where
             if isinstance(node, ast.Name):
-                assert node.id not in ("UnicodeDecodeError", "open"), where
+                assert node.id not in ("UnicodeDecodeError", "open", *text_readers), where
