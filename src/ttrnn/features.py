@@ -157,14 +157,13 @@ def log_diff(prices) -> np.ndarray:
 def rolling_stats(values, window: int):
     """Trailing mean, std, skewness and kurtosis (population moments).
 
-    Entry t summarizes values[t-window+1 .. t]; positions without a full
-    window of finite values are NaN.  Zero-variance windows get std, skew
-    and kurtosis 0.
+    Entry t summarizes values[t-window+1 .. t]; it is NaN where that window
+    is not yet full or holds a NaN, which the moments carry.  Zero-variance
+    windows get std, skew and kurtosis 0.
     """
     v = np.asarray(values, dtype=np.float64)
     if window > v.shape[-1]:
         raise WindowTooLarge(f"window {window} > series length {v.shape[-1]}")
-    ok = ~_window_has_nan(v, window)
     with np.errstate(invalid="ignore", divide="ignore"):
         m, m2, m3, m4 = _window_moments(v, window)
         # a window of identical values can carry rounding noise of order
@@ -175,8 +174,7 @@ def rolling_stats(values, window: int):
         g1 = np.where(degenerate, 0.0, m3 / np.where(degenerate, 1.0, m2**1.5))
         g2 = np.where(degenerate, 0.0, m4 / np.where(degenerate, 1.0, m2**2))
     out = np.full((4,) + v.shape, np.nan)
-    for dst, src in zip(out[..., window - 1 :], (m, s, g1, g2)):
-        np.copyto(dst, src, where=ok)
+    out[..., window - 1 :] = m, s, g1, g2
     return tuple(out)
 
 
@@ -276,13 +274,6 @@ def _added(total: list, term: list) -> list:
     return total
 
 
-def _window_has_nan(v, window: int) -> np.ndarray:
-    """Whether each trailing window of ``v``'s last axis holds a NaN, from a running NaN count."""
-    count = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.intp)
-    np.cumsum(np.isnan(v), axis=-1, out=count[..., 1:])
-    return count[..., window:] != count[..., :-window]
-
-
 def rel_hlc(close, high, low) -> np.ndarray:
     """Close position within the day's high-low range; 0.5 when high == low."""
     c = np.asarray(close, dtype=np.float64)
@@ -353,9 +344,6 @@ class FeaturePanel:
     labels: np.ndarray  # (days,) values in {+1, 0, -1}
     target_next_return: np.ndarray  # (days,) realized next-day log return
     n_train: int
-    feature_mean: np.ndarray  # (20, 6, 4)
-    feature_std: np.ndarray
-    target: str
     symbols: list  # canonical column order, for audit dumps
 
     @property
@@ -459,9 +447,6 @@ def assemble(panel: AssetPanel, target: str, split: float = 0.9) -> FeaturePanel
         labels=labels,
         target_next_return=np.asarray(next_r, dtype=np.float64),
         n_train=n_train,
-        feature_mean=mean,
-        feature_std=std,
-        target=target,
         symbols=[meta.symbol for meta in panel.instruments],
     )
 
@@ -590,8 +575,8 @@ def read_manifest(manifest_path) -> list:
     """The (instrument, file path) of each manifest row, in canonical (class, slot) order.
 
     A row without a path, of an unknown class or slot, or at a (class, slot)
-    another row holds, and a (class, slot) no row holds, raise DataError
-    naming the manifest and the row or the slot.
+    or of a symbol another row holds, and a (class, slot) no row holds, raise
+    DataError naming the manifest and the row or the slot.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = [None] * N_INSTRUMENTS
@@ -605,6 +590,8 @@ def read_manifest(manifest_path) -> list:
                 column = column_index(asset_class, meta.class_slot)
                 if entries[column]:
                     raise DataError(f"({asset_class}, {meta.class_slot}) is given twice")
+                if any(entry and entry[0].symbol == symbol for entry in entries):
+                    raise DataError(f"symbol {symbol!r} is given twice")
                 entries[column] = (meta, os.path.join(base, rel_path))
             except DataError as exc:
                 raise DataError(f"bad manifest row {row}: {exc}") from None

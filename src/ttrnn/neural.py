@@ -423,10 +423,9 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
 
 @dataclass
 class TrainLog:
-    """Per-epoch mean losses plus end-of-epoch TT core snapshots."""
+    """Per-epoch mean losses plus the normalized per-core change between epochs."""
 
     epoch_losses: list
-    core_snapshots: list  # epochs x cores
     core_change: object = None  # interpret.CoreChangeLog once epochs >= 2
 
 
@@ -473,10 +472,8 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
                 f"training diverged in epoch {epoch}: after its last step a parameter or "
                 f"the dense input map is not finite at learning rate {config.learning_rate}"
             )
-    log = TrainLog(epoch_losses=epoch_losses, core_snapshots=snapshots)
-    if len(snapshots) >= 2:
-        log.core_change = interpret.core_change(snapshots)
-    return model, log
+    core_change = interpret.core_change(snapshots) if len(snapshots) >= 2 else None
+    return model, TrainLog(epoch_losses, core_change)
 
 
 def evaluate(model: TTRNNModel, dataset):
@@ -493,11 +490,11 @@ def evaluate(model: TTRNNModel, dataset):
 
 # --- checkpoint file ---------------------------------------------------------
 #
-# Header lines, then the TT core block in decimal (the readable part, which
-# the core-change report interprets), then each dense parameter as one
-# ``name <nbytes>`` line, its little-endian float64 bytes, fastest-first, and
-# one ``\n``.  A v2 checkpoint has one ``name <base64>`` line per dense
-# parameter instead, and a v1 one a line of decimal values.
+# Header lines, then the TT core block in decimal (the human-readable part),
+# then each dense parameter as one ``name <nbytes>`` line, its little-endian
+# float64 bytes, fastest-first, and one ``\n``.  A v2 checkpoint has one
+# ``name <base64>`` line per dense parameter instead, and a v1 one a line of
+# decimal values.
 
 
 # the most bytes written at once, unless one column is more
@@ -522,14 +519,14 @@ def _bytes_left(f) -> int:
     return os.fstat(f.fileno()).st_size - f.tell()
 
 
-def _read_raw_values(f, text: bytes, shape) -> np.ndarray:
-    """Read the rest of a v3 ``name <nbytes>`` line and the bytes after it into an owned array.
+def _read_raw_values(f, shape) -> np.ndarray:
+    """Read the byte count that ends a v3 ``name <nbytes>`` line and the bytes after it.
 
-    ``text`` is the start of the byte count, already read.  The count must be
-    the shape's, and the file must hold that many bytes, before the array is
-    made.  ``f`` is left past the ``\n`` that ends the bytes.
+    The count must be the shape's, and the file must hold that many bytes,
+    before the owned array is made.  ``f`` is left past the ``\n`` that ends
+    the bytes.
     """
-    line = text if text.endswith(b"\n") else text + f.readline(32)
+    line = f.readline(32)
     count = line.rstrip(b"\n")
     want = 8 * element_count(shape)
     if not (line.endswith(b"\n") and count.isdigit()):
@@ -550,20 +547,19 @@ def _read_raw_values(f, text: bytes, shape) -> np.ndarray:
 _B64_CHUNK = 1 << 16
 
 
-def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
-    """Decode the rest of a v2 base64 line into an owned, writable float64 array.
+def _read_b64_values(f, shape) -> np.ndarray:
+    """Decode the values of a v2 base64 line into an owned, writable float64 array.
 
-    ``text`` is the start of the line's values, a few bytes already read; the
-    rest is read from ``f`` a chunk at a time, each chunk decoded into the
-    array.  A file too short to hold the values gets no array: its bytes are
-    only counted.  ``f`` is left at the next line.
+    The line is read from ``f`` a chunk at a time, each chunk decoded into
+    the array.  A file too short to hold the values gets no array: its bytes
+    are only counted.  ``f`` is left at the next line.
     """
     want = 8 * element_count(shape)
-    fits = 4 * -(-want // 3) <= len(text) + _bytes_left(f)
+    fits = 4 * -(-want // 3) <= _bytes_left(f)
     out = np.empty(want // 8 if fits else 0, dtype="<f8")
     into = memoryview(out).cast("B")
     got = 0
-    chunk = text if text.endswith(b"\n") else text + f.read(_B64_CHUNK - len(text))
+    chunk = f.read(_B64_CHUNK)
     while True:
         end = chunk.find(b"\n")
         last = end >= 0 or len(chunk) < _B64_CHUNK  # the line ends here, or the file does
@@ -587,14 +583,13 @@ def _read_b64_values(f, text: bytes, shape) -> np.ndarray:
     return out.reshape(shape, order="F").astype(np.float64, copy=False)
 
 
-def _read_decimal_values(f, text: bytes, shape) -> np.ndarray:
-    """Decode the rest of a v1 dense line, decimal values in UTF-8 text, read whole."""
+def _read_decimal_values(f, shape) -> np.ndarray:
+    """Decode the values of a v1 dense line, decimal values in UTF-8 text, read whole."""
     n = element_count(shape)
-    room = (len(text) + _bytes_left(f) + 1) // 2  # each value takes a digit and a separator
+    room = (_bytes_left(f) + 1) // 2  # each value takes a digit and a separator
     if room < n:
         raise DataError(f"expected {n} values, the file has room for at most {room}")
-    line = text if text.endswith(b"\n") else text + f.readline()
-    return _parse_values(str(line, "utf-8"), shape)
+    return _parse_values(str(f.readline(), "utf-8"), shape)
 
 
 # the dense-entry decoder of each checkpoint version, keyed by its first line
@@ -629,9 +624,9 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     Read a line at a time: the 4 header lines and the ``ttmat`` core block are
     UTF-8 text.  Each dense entry's name is read, then its version's decoder
     reads the rest: v3's bytes straight into the array, v2's base64 in chunks,
-    so no dense line is held whole.  A v2 or v1 line of an unknown name is
-    skipped; in v3 it is an error, as raw bytes cannot be skipped a line at a
-    time.  A malformed file or a non-finite parameter value raises DataError.
+    so no dense line is held whole.  An entry of an unknown name, or a line
+    without one, is an error in every version.  A malformed file or a
+    non-finite parameter value raises DataError.
     """
     with reading(path, "rb") as f:
         magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
@@ -654,18 +649,15 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
         params = _named_cores(weights.cores)
         name_bytes = max(map(len, shapes)) + 1  # the longest name and its space
         while start := f.readline(name_bytes):
-            cut = start.find(b" ")  # a line without a name is skipped, as unknown names are
+            cut = start.find(b" ")
             name = start[:cut].decode("utf-8", "replace") if cut >= 0 else ""
             if name not in shapes:
-                if decode is _read_raw_values:
-                    raise DataError(f"unknown entry {name!r}")
-                if not start.endswith(b"\n"):
-                    f.readline()
-                continue
+                raise DataError(f"unknown entry {name!r}")
             if name in params:
                 raise DataError(f"{name} line appears twice")
+            f.seek(cut + 1 - len(start), 1)  # the decoder starts at the values
             try:
-                params[name] = decode(f, start[cut + 1 :], shapes[name])
+                params[name] = decode(f, shapes[name])
             except DataError as exc:
                 raise DataError(f"{name}: {exc}") from None
         missing = [name for name in shapes if name not in params]

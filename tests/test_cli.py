@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from memtrace import traced_peak
-from test_neural import save_model_v2
+from test_neural import save_model_v1, save_model_v2
 from ttrnn import features
 from ttrnn.cli import build_parser, main
 from ttrnn.config import RunConfig
@@ -593,10 +593,9 @@ class TestBadInputExitCodes:
             (lambda blob, at: blob[: at + 8192], "feedback: no line end after the 8192 bytes"),
             (lambda blob, at: blob + blob[at - len("feedback 8192\n") : at + 8193],
              "feedback line appears twice"),
-            (lambda blob, at: blob + b"extra 8\n" + bytes(8) + b"\n", "unknown entry 'extra'"),
         ],
         ids=["wrong-byte-count", "non-numeric-byte-count", "cut-inside-the-bytes", "no-line-end",
-             "cut-after-the-bytes", "repeated-entry", "unknown-name"],
+             "cut-after-the-bytes", "repeated-entry"],
     )
     def test_damaged_v3_entry(self, tmp_path, capsys, damage, message):
         ckpt = tmp_path / "model.txt"
@@ -608,6 +607,21 @@ class TestBadInputExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: {message}\n", err
+
+    @pytest.mark.parametrize("entry, name", [(b"extra 8\n", "extra"), (b"\n", "")],
+                             ids=["unknown-name", "blank-line"])
+    @pytest.mark.parametrize("save", [save_model_v1, save_model_v2, save_model],
+                             ids=["v1", "v2", "v3"])
+    def test_unknown_entry_in_every_version(self, tmp_path, capsys, save, entry, name):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt, save)
+        blob = ckpt.read_bytes()
+        at = blob.index(b"\nfeedback ") + 1  # between the bias and feedback entries
+        ckpt.write_bytes(blob[:at] + entry + blob[at:])
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {ckpt}: unknown entry {name!r}\n", err
 
     @pytest.mark.parametrize(
         "field, nbytes, value",
@@ -751,13 +765,17 @@ class TestBadInputExitCodes:
             ("manifest.csv", 2, lambda c: [*c[:2], "1", c[3]],
              "{path}: bad manifest row ('EQ2', 'equities', '1', 'EQ2.csv'): "
              "(equities, 1) is given twice"),
+            # FX6's own row, read after EQ1's, names it a second time
+            ("manifest.csv", 1, lambda c: ["FX6", *c[1:]],
+             "{path}: bad manifest row ('FX6', 'currencies', '6', 'FX6.csv'): "
+             "symbol 'FX6' is given twice"),
             ("EQ3.csv", 5, lambda c: [c[0], "0.0", *c[2:]],
              "close must be positive: EQ3 on 2006-05-05"),
             ("FX1.csv", 5, lambda c: [*c[:2], c[3], c[2], *c[4:]],
              "high < low: FX1 on 2006-05-05"),
         ],
-        ids=["unknown-class", "slot-out-of-range", "slot-given-twice", "zero-close",
-             "high-below-low"],
+        ids=["unknown-class", "slot-out-of-range", "slot-given-twice", "symbol-given-twice",
+             "zero-close", "high-below-low"],
     )
     def test_panel_error_names_its_source(self, tmp_path, capsys, name, line, edit, message):
         assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "60"]) == 0
