@@ -5,9 +5,9 @@ file values.  Runs are reproducible: all randomness flows from the single
 run seed through named streams, and each training run writes a manifest
 with the resolved config and input hashes.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 shape error,
-1 I/O or unexpected failure.  The codes follow the base classes in
-:mod:`ttrnn.errors`.
+Exit codes: 0 success, 2 config error or out of memory, 3 data error,
+4 shape error, 1 I/O or unexpected failure.  The codes follow the base
+classes in :mod:`ttrnn.errors`.
 """
 
 from __future__ import annotations
@@ -90,25 +90,23 @@ def cmd_train(args) -> int:
     panel, input_files = _load_or_synth_panel(cfg)
     fp = feat.assemble(panel, cfg.target, cfg.split)
     train_samples, _ = fp.samples(cfg.seq_len)
+    if not train_samples:
+        raise feat.InsufficientHistory(f"no window of seq_len {cfg.seq_len} fits in the "
+                                       f"{fp.n_train} training days of {fp.n_days} feature days")
     dataset = [s.pair for s in train_samples]
 
-    in_dims = cfg.input_dims()
-    hidden_dims = cfg.hidden_tensor_dims()
-    ranks = cfg.rank_tuple()
-    model = neural.init_model(in_dims, hidden_dims, ranks, stream_rng(cfg.seed, "init"))
+    model = neural.init_model(cfg.input_dims(), cfg.hidden_tensor_dims(), cfg.rank_tuple(),
+                              stream_rng(cfg.seed, "init"))
     model, log = neural.train(model, dataset, cfg.train_config())
 
     ckpt = os.path.join(cfg.out_dir, "checkpoint.txt")
     neural.save_model(model, ckpt, seed=cfg.seed, epoch=cfg.epochs)
     write_csv(os.path.join(cfg.out_dir, "epoch_losses.csv"), ["epoch", "mean_loss"],
               enumerate(log.epoch_losses, start=1))
-    if log.core_change is not None:
-        interpret.write_core_change_csv(
-            log.core_change, os.path.join(cfg.out_dir, "core_change.csv")
-        )
+    interpret.write_core_change_csv(log.core_change, os.path.join(cfg.out_dir, "core_change.csv"))
 
-    tt_params = ttformat.tt_param_count(in_dims, hidden_dims, ranks)
-    dense_params = ttformat.dense_param_count(in_dims, hidden_dims)
+    weights = model.input_layer.weights
+    tt_params, dense_params = weights.n_params, weights.n_in * weights.n_out
     manifest = {
         "config": vars(cfg),
         "input_hashes": {os.path.basename(p): _sha256(p) for p in input_files},
@@ -273,6 +271,9 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"shape error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -37,10 +37,11 @@ def core_change(snapshots) -> CoreChangeLog:
     """Normalized change per core between consecutive epoch snapshots.
 
     ``snapshots[e][n]`` is core n at the end of epoch e+1.  Entry (n, e) of
-    the result is ||delta||_F^2 / core_element_count.
+    the result is ||delta||_F^2 / core_element_count.  n snapshots give
+    n - 1 change columns, so one snapshot gives an ``(n_cores, 0)`` log.
     """
-    if len(snapshots) < 2:
-        raise DataError("need at least two epoch snapshots")
+    if not snapshots:
+        raise DataError("need at least one epoch snapshot")
     shapes = [np.asarray(c).shape for c in snapshots[0]]
     for e, snap in enumerate(snapshots):
         if len(snap) != len(shapes):

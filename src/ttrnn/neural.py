@@ -191,7 +191,8 @@ def config_ranks(ranks, n_modes: int) -> tuple[int, ...]:
 
 @dataclass
 class TrainConfig:
-    """Plain SGD settings for the training loop; :meth:`validate` is their one check."""
+    """Plain SGD settings; :meth:`validate` checks them all, but :func:`train` reads neither
+    ``seq_len`` nor ``ranks``: the windows carry their length and the model its ranks."""
 
     learning_rate: float = 1e-5
     epochs: int = 20
@@ -423,10 +424,10 @@ def init_model(in_dims, hidden_dims, ranks, rng: np.random.Generator) -> TTRNNMo
 
 @dataclass
 class TrainLog:
-    """Per-epoch mean losses plus the normalized per-core change between epochs."""
+    """Per-epoch mean losses and the per-core change between them: no columns after one epoch."""
 
     epoch_losses: list
-    core_change: object = None  # interpret.CoreChangeLog once epochs >= 2
+    core_change: object  # interpret.CoreChangeLog
 
 
 def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, TrainLog]:
@@ -472,8 +473,7 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
                 f"training diverged in epoch {epoch}: after its last step a parameter or "
                 f"the dense input map is not finite at learning rate {config.learning_rate}"
             )
-    core_change = interpret.core_change(snapshots) if len(snapshots) >= 2 else None
-    return model, TrainLog(epoch_losses, core_change)
+    return model, TrainLog(epoch_losses, interpret.core_change(snapshots))
 
 
 def evaluate(model: TTRNNModel, dataset):

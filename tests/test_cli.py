@@ -14,7 +14,7 @@ from ttrnn import features
 from ttrnn.cli import build_parser, main
 from ttrnn.config import RunConfig
 from ttrnn.features import SynthConfig, synth_panel, write_panel
-from ttrnn.neural import TTRNNModel, save_model
+from ttrnn.neural import TTRNNModel, load_model, save_model
 from ttrnn.tensor import DenseTensor
 from ttrnn.ttformat import parse_tt_vector, tt_reconstruct
 
@@ -130,6 +130,35 @@ class TestTrainCommand:
         # out_dir differs inside run_manifest.json; everything else matches
         for name in ("checkpoint.txt", "epoch_losses.csv", "core_change.csv"):
             assert ta[name] == tb[name]
+
+    def test_one_epoch_run_replaces_every_file_of_an_earlier_run(self, tmp_path, capsys):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["train", "--out-dir", str(out)] + FAST) == 0
+        for d in (out, fresh):
+            assert main(["train", "--out-dir", str(d)] + FAST + ["--epochs", "1"]) == 0
+        trees = {d: read_tree(d) for d in (out, fresh)}
+        for d, tree in trees.items():  # out_dir differs inside run_manifest.json
+            manifest = json.loads(tree["run_manifest.json"])
+            assert manifest["config"].pop("out_dir") == str(d)
+            tree["run_manifest.json"] = manifest
+        assert trees[out] == trees[fresh]
+        assert trees[out]["core_change.csv"] == b"core,epoch,normalized_change\r\n"
+        capsys.readouterr()
+        log = out / "core_change.csv"
+        assert main(["report-cores", "--log", str(log)]) == 3
+        assert capsys.readouterr().err == f"data error: {log}: no core-change rows\n"
+
+    def test_parameter_counts_at_unequal_ranks(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out-dir", str(out)] + FAST + ["--ranks", "2,3,4,5"]) == 0
+        model, _ = load_model(out / "checkpoint.txt")
+        tt_params = sum(c.size for c in model.cores)
+        assert tt_params == 8 + 24 + 120 + 240 + 40  # R_{k-1} * I_k * J_k * R_k per core
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["tt_input_layer_params"] == tt_params
+        assert manifest["dense_equivalent_params"] == 480 * 32
+        printed = capsys.readouterr().out
+        assert f"TT input layer parameters: {tt_params} (dense {480 * 32}, " in printed
 
     def test_data_manifest_read_once_and_its_files_hashed(self, tmp_path, monkeypatch):
         manifest = write_panel(synth_panel(SynthConfig(days=60), 1), tmp_path / "data")
@@ -313,6 +342,17 @@ class TestExitCodes:
             ["train", "--out-dir", str(tmp_path / "out"), "--data-manifest", manifest] + FAST
         )
         assert code == 3
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        message = ("Unable to allocate 366. MiB for an array with shape (2000000, 24) "
+                   "and data type float64")
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(features, "synth_panel", no_memory)
+        assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "2000000"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["report-cores", "--log", str(tmp_path / "missing.csv")])
@@ -895,6 +935,15 @@ class TestBadInputExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "volume of EQ4" in err
         assert not (tmp_path / "out" / "checkpoint.txt").exists()
+
+    def test_no_training_window(self, tmp_path, capsys):
+        args = ["train", "--out-dir", str(tmp_path), "--synth-days", "100", "--seq-len", "75"]
+        assert main(args + FAST[2:]) == 3
+        assert capsys.readouterr().err == (
+            "data error: no window of seq_len 75 fits in the 69 training days "
+            "of 77 feature days\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergent_training(self, tmp_path, capsys):
         code = main(["train", "--out-dir", str(tmp_path)] + FAST + ["--learning-rate", "1e3"])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ttrnn.errors import DataError
 from ttrnn.interpret import (
     CoreChangeLog,
     ShapeDrift,
@@ -59,9 +60,13 @@ class TestCoreChange:
         with pytest.raises(ShapeDrift):
             core_change([[np.zeros((1, 2, 2, 1))], [np.zeros((1, 3, 2, 1))]])
 
-    def test_needs_two_epochs(self):
-        with pytest.raises(ValueError):
-            core_change([[np.zeros((1, 2, 2, 1))]])
+    def test_needs_one_snapshot(self):
+        with pytest.raises(DataError):
+            core_change([])
+        log = core_change([[np.zeros((1, 2, 2, 1))]])  # one epoch: no change columns
+        assert log.values.shape == (1, 0) and log.epochs == []
+        with pytest.raises(DataError, match="empty core-change log"):
+            modal_ranking(log)
 
 
 class TestModalRanking:
