@@ -218,6 +218,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:  # argparse reads `--flag=--` as [], not as a value
+            if isinstance(getattr(namespace, action.dest, None), list):
+                self.error(str(argparse.ArgumentError(action, "expected one argument")))
+        return namespace, extras
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -11,7 +11,6 @@ gets an analytic gradient that can be checked against finite differences.
 
 from __future__ import annotations
 
-import binascii
 import dataclasses
 import functools
 import math
@@ -29,7 +28,6 @@ from .ttformat import (
     InvalidRank,
     TTMatrix,
     _ints,
-    _parse_values,
     check_ranks,
     format_tt_matrix,
     mpo_core_grads,
@@ -492,9 +490,7 @@ def evaluate(model: TTRNNModel, dataset):
 #
 # Header lines, then the TT core block in decimal (the human-readable part),
 # then each dense parameter as one ``name <nbytes>`` line, its little-endian
-# float64 bytes, fastest-first, and one ``\n``.  A v2 checkpoint has one
-# ``name <base64>`` line per dense parameter instead, and a v1 one a line of
-# decimal values.
+# float64 bytes, fastest-first, and one ``\n``.
 
 
 # the most bytes written at once, unless one column is more
@@ -543,63 +539,6 @@ def _read_raw_values(f, shape) -> np.ndarray:
     return out.reshape(shape, order="F").astype(np.float64, copy=False)
 
 
-# base64 characters read and decoded at a time: a multiple of 4, so each chunk decodes alone
-_B64_CHUNK = 1 << 16
-
-
-def _read_b64_values(f, shape) -> np.ndarray:
-    """Decode the values of a v2 base64 line into an owned, writable float64 array.
-
-    The line is read from ``f`` a chunk at a time, each chunk decoded into
-    the array.  A file too short to hold the values gets no array: its bytes
-    are only counted.  ``f`` is left at the next line.
-    """
-    want = 8 * element_count(shape)
-    fits = 4 * -(-want // 3) <= _bytes_left(f)
-    out = np.empty(want // 8 if fits else 0, dtype="<f8")
-    into = memoryview(out).cast("B")
-    got = 0
-    chunk = f.read(_B64_CHUNK)
-    while True:
-        end = chunk.find(b"\n")
-        last = end >= 0 or len(chunk) < _B64_CHUNK  # the line ends here, or the file does
-        if end >= 0:
-            f.seek(end + 1 - len(chunk), 1)  # give back what belongs to the next lines
-            chunk = chunk[:end]
-        try:
-            raw = binascii.a2b_base64(chunk, strict_mode=True)
-        except ValueError:  # bad alphabet or padding, or a non-ASCII byte
-            raise DataError("not valid base64") from None
-        if not last and len(raw) < len(chunk) // 4 * 3:  # padding before the line's end
-            raise DataError("not valid base64")
-        if got + len(raw) <= len(into):  # past that, the bytes are only counted
-            into[got : got + len(raw)] = raw
-        got += len(raw)
-        if last:
-            break
-        chunk = f.read(_B64_CHUNK)
-    if got != want:
-        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {got}")
-    return out.reshape(shape, order="F").astype(np.float64, copy=False)
-
-
-def _read_decimal_values(f, shape) -> np.ndarray:
-    """Decode the values of a v1 dense line, decimal values in UTF-8 text, read whole."""
-    n = element_count(shape)
-    room = (_bytes_left(f) + 1) // 2  # each value takes a digit and a separator
-    if room < n:
-        raise DataError(f"expected {n} values, the file has room for at most {room}")
-    return _parse_values(str(f.readline(), "utf-8"), shape)
-
-
-# the dense-entry decoder of each checkpoint version, keyed by its first line
-_DENSE_DECODERS = {
-    CHECKPOINT_MAGIC: _read_raw_values,
-    "ttrnn-model v2": _read_b64_values,
-    "ttrnn-model v1": _read_decimal_values,
-}
-
-
 def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
     """Write a checkpoint: header, decimal TT core block, then each dense parameter's bytes."""
     lines = [
@@ -619,20 +558,22 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
 
 
 def load_model(path) -> tuple[TTRNNModel, dict]:
-    """Read a :func:`save_model` checkpoint, or a v2 or v1 one with base64 or decimal dense lines.
+    """Read a :func:`save_model` checkpoint.
 
     Read a line at a time: the 4 header lines and the ``ttmat`` core block are
-    UTF-8 text.  Each dense entry's name is read, then its version's decoder
-    reads the rest: v3's bytes straight into the array, v2's base64 in chunks,
-    so no dense line is held whole.  An entry of an unknown name, or a line
-    without one, is an error in every version.  A malformed file or a
-    non-finite parameter value raises DataError.
+    UTF-8 text.  Each dense entry's name is read, then its bytes straight into
+    its array.  An entry of an unknown name, or a line without one, is an
+    error.  A v1 or v2 checkpoint, a malformed file or a non-finite parameter
+    value raises DataError.
     """
     with reading(path, "rb") as f:
-        magic, *head = (f.readline().decode("utf-8").rstrip("\n") for _ in range(4))
-        decode = _DENSE_DECODERS.get(magic)
-        if decode is None:
+        # no more than the magic line's bytes are read, or quoted, whatever the file holds
+        magic = f.readline(len(CHECKPOINT_MAGIC) + 1).rstrip(b"\n").decode("utf-8", "replace")
+        if magic in ("ttrnn-model v1", "ttrnn-model v2"):
+            raise DataError(f"{magic} checkpoints are no longer read; re-run ttrnn train")
+        if magic != CHECKPOINT_MAGIC:
             raise DataError(f"not a model checkpoint: {magic!r}")
+        head = [f.readline().decode("utf-8").rstrip("\n") for _ in range(3)]
         try:
             (k1, seed), (k2, epoch), (k3, dims) = (line.split() for line in head)
             meta = {"seed": int(seed), "epoch": int(epoch)}
@@ -655,9 +596,9 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
                 raise DataError(f"unknown entry {name!r}")
             if name in params:
                 raise DataError(f"{name} line appears twice")
-            f.seek(cut + 1 - len(start), 1)  # the decoder starts at the values
+            f.seek(cut + 1 - len(start), 1)  # back to the byte count after the name
             try:
-                params[name] = decode(f, shapes[name])
+                params[name] = _read_raw_values(f, shapes[name])
             except DataError as exc:
                 raise DataError(f"{name}: {exc}") from None
         missing = [name for name in shapes if name not in params]

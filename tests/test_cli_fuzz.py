@@ -1,11 +1,12 @@
 """No damaged input file ends in a traceback: ``cli.main`` on mutated run files.
 
 Each example damages one input of a command that succeeds on the clean
-file: a v3, v2 or v1 checkpoint of a hidden 2^5, rank 2 model, a
-``core_change.csv``, a ``--config`` file or a panel manifest.  The
-command must end with a documented exit code and at most one stderr line,
-and a report it writes must hold no NaN or infinity.  In process, a numpy
-RuntimeWarning is an error too (see pyproject.toml).
+file: a v3 checkpoint of a hidden 2^5, rank 2 model (v1 and v2 files stop
+at their first line), a ``core_change.csv``, a ``--config`` file or a
+panel manifest.  The command must end with a documented exit code and at
+most one stderr line, and a report it writes must hold no NaN or
+infinity.  In process, a numpy RuntimeWarning is an error too (see
+pyproject.toml).
 """
 
 import contextlib
@@ -24,9 +25,7 @@ from hypothesis import strategies as st
 
 import ttrnn
 from test_cli import FAST
-from test_neural import save_model_v1, save_model_v2
 from ttrnn.cli import main
-from ttrnn.neural import load_model
 
 CONFIG = """\
 # the reduced model of the command-line tests
@@ -83,19 +82,12 @@ def run_files(tmp_path_factory):
     for argv in (["train", "--out-dir", str(run)] + FAST,
                  ["synth", "--out-dir", str(root), "--synth-days", "60", "--seed", "11"]):
         assert quiet_main(argv)[0] == 0
-    model, meta = load_model(run / "checkpoint.txt")
-    save_model_v2(model, root / "checkpoint_v2.txt", **meta)
-    save_model_v1(model, root / "checkpoint_v1.txt", **meta)
     (root / "run.cfg").write_text(CONFIG)
     ckpt = str(run / "checkpoint.txt")
     backtest = ["backtest", "--out-dir", str(out), "--seed", "11"]
     synth = ["--synth-days", "60"]
     return out, {
         "checkpoint_v3": (run / "checkpoint.txt", lambda f: backtest + synth + ["--checkpoint", f]),
-        "checkpoint_v2": (root / "checkpoint_v2.txt",
-                          lambda f: backtest + synth + ["--checkpoint", f]),
-        "checkpoint_v1": (root / "checkpoint_v1.txt",
-                          lambda f: backtest + synth + ["--checkpoint", f]),
         "core_change": (run / "core_change.csv",
                         lambda f: ["report-cores", "--log", f, "--out-dir", str(out)]),
         "config": (root / "run.cfg", lambda f: backtest + ["--checkpoint", ckpt, "--config", f]),
@@ -137,7 +129,7 @@ def assert_documented_exit(code, err):
 
 @pytest.mark.parametrize(
     "kind",
-    ["checkpoint_v3", "checkpoint_v2", "checkpoint_v1", "core_change", "config", "data_manifest"],
+    ["checkpoint_v3", "core_change", "config", "data_manifest"],
 )
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(op=st.sampled_from(MUTATIONS), at=st.integers(0, 2**31), value=st.integers(0, 2**31))
@@ -154,11 +146,10 @@ def test_damaged_input_gets_a_documented_exit(run_files, kind, op, at, value):
     [
         # inside the feedback bytes, which follow a 'feedback 8192' line
         ("checkpoint_v3", "truncate", lambda clean: clean.index(b"\nfeedback 8192\n") + 4096, 3),
-        ("checkpoint_v2", "truncate", lambda clean: len(clean) // 2, 3),  # inside feedback
         ("config", "number", lambda clean: 6, 2),  # batch_size = x
         ("data_manifest", "flip", lambda clean: clean.index(b"EQ2.csv"), 1),  # GQ2.csv
     ],
-    ids=["checkpoint_v3", "checkpoint_v2", "config", "data_manifest"],
+    ids=["checkpoint_v3", "config", "data_manifest"],
 )
 def test_damaged_input_in_a_fresh_process(run_files, kind, op, where, code):
     """The exit code and message as ``python -m ttrnn`` gives them, without a traceback."""

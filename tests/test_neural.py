@@ -1,5 +1,3 @@
-import base64
-import binascii
 import gc
 import math
 import re
@@ -52,7 +50,7 @@ from ttrnn.neural import (
     ttrnn_cell_forward,
 )
 from ttrnn.tensor import DenseTensor
-from ttrnn.ttformat import TTMatrix, format_tt_matrix, mpo_core_grads, mpo_to_matrix, tt_param_count
+from ttrnn.ttformat import TTMatrix, mpo_core_grads, mpo_to_matrix, tt_param_count
 
 
 def tiny_model(seed=7, in_dims=(2, 2, 2), hidden=(2, 2, 2), ranks=(1, 2, 2, 1)):
@@ -971,25 +969,6 @@ class TestCheckpoint:
             entries += f"{name} {len(raw)}\n".encode("ascii") + raw + b"\n"
         assert lines[8] == entries
 
-    def test_v2_layout(self, tmp_path):
-        model = tiny_model(seed=21)
-        path = tmp_path / "model.txt"
-        save_model_v2(model, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ttrnn-model v2"
-        assert lines[4] == "ttmat in=2,2,2 out=2,2,2 ranks=1,2,2,1"
-        for line, core in zip(lines[5:8], model.cores):
-            assert [float(x) for x in line.split()] == core.ravel(order="F").tolist()
-        dense = [
-            ("bias", model.input_layer.bias.data),
-            ("feedback", model.feedback),
-            ("head_weights", model.head_weights),
-            ("head_bias", model.head_bias),
-        ]
-        for line, (name, values) in zip(lines[8:], dense, strict=True):
-            raw = np.asarray(values, dtype="<f8").tobytes(order="F")
-            assert line == f"{name} {base64.b64encode(raw).decode('ascii')}"
-
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.data())
     @example(None)
@@ -1013,29 +992,6 @@ class TestCheckpoint:
             assert na == nb and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), na
             assert b.dtype == np.float64 and b.flags.writeable
-
-    def test_v2_checkpoint_saves_as_v3_bit_exact(self, tmp_path):
-        model = tiny_model(seed=28)  # every edge value in every parameter
-        model = rebuild_model(model, [np.resize(FLOAT_EDGES, a.shape) for _, a in model.named_params()])
-        save_model_v2(model, tmp_path / "v2.txt", seed=4, epoch=9)
-        old, meta = load_model(tmp_path / "v2.txt")
-        save_model(old, tmp_path / "v3.txt", **meta)
-        back, meta = load_model(tmp_path / "v3.txt")
-        assert meta == {"seed": 4, "epoch": 9}
-        assert (tmp_path / "v3.txt").read_bytes().startswith(b"ttrnn-model v3\n")
-        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
-            assert na == nb and a.tobytes(order="F") == b.tobytes(order="F"), na
-
-    def test_load_holds_each_dense_line_once(self, tmp_path):
-        # hidden 256: the dense lines are 0.7 MB of base64, the rest a few kB
-        model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(24))
-        path = tmp_path / "model.txt"
-        save_model_v2(model, path)
-        dense = sum(map(len, path.read_bytes().split(b"\n")[-5:]))
-        _, peak = traced_peak(load_model, path)
-        # the arrays, 3/4 of their base64 text, and one chunk of it with its bytes;
-        # a dense line read whole, or decoded whole and then copied, would be one more
-        assert peak < 1.2 * dense, peak / dense
 
     def test_load_reads_dense_bytes_into_their_arrays(self, tmp_path):
         # hidden 256: the dense parameters are 0.5 MB, the rest a few kB
@@ -1061,101 +1017,7 @@ class TestCheckpoint:
             entries += f"{name} {len(raw)}\n".encode("ascii") + raw + b"\n"
         assert path.read_bytes().endswith(entries)
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda text: text,
-            lambda text: text[: neural._B64_CHUNK - 4] + b"AA==" + text[neural._B64_CHUNK :],
-            lambda text: text[: neural._B64_CHUNK] + b"*" + text[neural._B64_CHUNK + 1 :],
-            lambda text: text[: neural._B64_CHUNK],
-            lambda text: text[: 2 * neural._B64_CHUNK - 1],
-            lambda text: text + b"AAAA",
-        ],
-        ids=["intact", "padding-ending-a-chunk", "bad-character-opening-a-chunk",
-             "a-chunk-long", "one-short-of-two-chunks", "one-group-too-many"],
-    )
-    @pytest.mark.parametrize("last", [False, True], ids=["then-lines", "last-line"])
-    def test_long_line_reads_as_a_whole_line_decodes(self, tmp_path, damage, last):
-        # hidden 256: the feedback line is over ten chunks of base64
-        model = init_model((2,) * 5, (4, 4, 4, 2, 2), (1, 2, 2, 2, 2, 1), np.random.default_rng(26))
-        path = tmp_path / "model.txt"
-        save_model_v2(model, path)
-        lines = path.read_bytes().split(b"\n")
-        assert lines[-4].startswith(b"feedback ") and lines[-1] == b""
-        text = damage(lines[-4].partition(b" ")[2])
-        lines[-4] = b"feedback " + text
-        if last:  # the feedback line last, with no newline after it
-            lines = lines[:-4] + lines[-3:-1] + [lines[-4]]
-        path.write_bytes(b"\n".join(lines))
-        try:
-            want = binascii.a2b_base64(text, strict_mode=True)
-        except binascii.Error:
-            message = "not valid base64"
-        else:
-            if len(want) == model.feedback.nbytes:
-                back, _ = load_model(path)
-                assert back.feedback.tobytes(order="F") == want
-                assert back.head_bias.tobytes() == model.head_bias.tobytes()
-                return
-            n = model.feedback.nbytes
-            message = f"expected {n} bytes ({n // 8} float64 values), got {len(want)}"
-        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: feedback: {message}')}$"):
-            load_model(path)
-
-    def test_reads_v1(self, tmp_path):
-        model = tiny_model(seed=23)
-        path = tmp_path / "model.txt"
-        save_model_v1(model, path, seed=5, epoch=7)
-        back, meta = load_model(path)
-        assert meta == {"seed": 5, "epoch": 7}
-        for (na, a), (nb, b) in zip(model.named_params(), back.named_params(), strict=True):
-            assert na == nb
-            assert np.array_equal(a, b)
-
 
 # 0, -0, the smallest subnormal, a subnormal, the smallest normal and the largest finite values
 FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.7976931348623157e308, -1.7976931348623155e308]
-
-
-def save_model_v1(model, path, seed=0, epoch=0):
-    """Write ``model`` in the v1 checkpoint layout: every value in decimal."""
-
-    def decimal(values):
-        return " ".join(map(repr, np.ravel(values, order="F").tolist()))
-
-    w = model.input_layer.weights
-    lines = [
-        "ttrnn-model v1",
-        f"seed {seed}",
-        f"epoch {epoch}",
-        "hidden_dims " + ",".join(map(str, model.hidden_dims)),
-        "ttmat in={} out={} ranks={}".format(
-            *(",".join(map(str, d)) for d in (w.in_dims, w.out_dims, w.ranks))
-        ),
-    ]
-    lines += [decimal(core) for core in w.cores]
-    lines += [
-        "bias " + decimal(model.input_layer.bias.data),
-        "feedback " + decimal(model.feedback),
-        "head_weights " + decimal(model.head_weights),
-        "head_bias " + decimal(model.head_bias),
-    ]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def save_model_v2(model, path, seed=0, epoch=0):
-    """Write ``model`` in the v2 checkpoint layout: one base64 line per dense parameter."""
-    lines = [
-        "ttrnn-model v2",
-        f"seed {seed}",
-        f"epoch {epoch}",
-        "hidden_dims " + ",".join(map(str, model.hidden_dims)),
-        format_tt_matrix(model.input_layer.weights).rstrip("\n"),
-    ]
-    params = dict(model.named_params())
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
-        for name in neural.dense_shapes(model.hidden_size):
-            raw = np.asarray(params[name], dtype="<f8").tobytes(order="F")
-            f.write(name.encode("ascii") + b" " + base64.b64encode(raw) + b"\n")
