@@ -265,25 +265,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an error line quotes at most this many characters of its message, then "..."
+_MESSAGE_CHARS = 1000
+
+
+def _report(kind: str, message: str, code: int) -> int:
+    if len(message) > _MESSAGE_CHARS:
+        message = message[:_MESSAGE_CHARS] + "..."
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # subcommand parsers are _Parsers too
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report("config error", str(exc), EXIT_CONFIG)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _report("data error", str(exc), EXIT_DATA)
     except ShapeError as exc:
-        print(f"shape error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return _report("shape error", str(exc), EXIT_SHAPE)
     except MemoryError as exc:  # numpy's message names the array it could not allocate
-        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report("config error", str(exc) or "out of memory", EXIT_CONFIG)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return _report("i/o error", str(exc), EXIT_FAILURE)
 
 
 def entry():

@@ -489,8 +489,8 @@ def evaluate(model: TTRNNModel, dataset):
 # --- checkpoint file ---------------------------------------------------------
 #
 # Header lines, then the TT core block in decimal (the human-readable part),
-# then each dense parameter as one ``name <nbytes>`` line, its little-endian
-# float64 bytes, fastest-first, and one ``\n``.
+# then each dense parameter, in ``dense_shapes`` order, as one ``name <nbytes>``
+# line, its little-endian float64 bytes, fastest-first, and one ``\n``.
 
 
 # the most bytes written at once, unless one column is more
@@ -510,32 +510,25 @@ def _column_blocks(arr: np.ndarray):
         yield columns[:, j : j + step].tobytes(order="F")
 
 
-def _bytes_left(f) -> int:
-    """How many bytes of the file ``f`` lie past its position."""
-    return os.fstat(f.fileno()).st_size - f.tell()
+def _read_entry(f, name, shape) -> np.ndarray:
+    """Read the dense entry ``name``: its ``name <nbytes>`` line, the bytes and one ``\n``.
 
-
-def _read_raw_values(f, shape) -> np.ndarray:
-    """Read the byte count that ends a v3 ``name <nbytes>`` line and the bytes after it.
-
-    The count must be the shape's, and the file must hold that many bytes,
-    before the owned array is made.  ``f`` is left past the ``\n`` that ends
-    the bytes.
+    The line must be the one :func:`save_model` writes for ``shape``, and the
+    file must hold that many bytes, before the owned array is made.
     """
-    line = f.readline(32)
-    count = line.rstrip(b"\n")
     want = 8 * element_count(shape)
-    if not (line.endswith(b"\n") and count.isdigit()):
-        raise DataError(f"expected a byte count, got {count.decode('utf-8', 'replace')!r}")
-    if int(count) != want:
-        raise DataError(f"expected {want} bytes ({want // 8} float64 values), got {int(count)}")
-    left = _bytes_left(f)
+    entry = f"{name} {want}"
+    line = f.readline(len(entry) + 1)  # no more than the expected line, whatever the file holds
+    if line != f"{entry}\n".encode("ascii"):
+        got = line.rstrip(b"\n").decode("utf-8", "replace")
+        raise DataError(f"expected the entry line {entry!r}, got {got!r}")
+    left = os.fstat(f.fileno()).st_size - f.tell()
     if left < want:
-        raise DataError(f"expected {want} bytes, the file ends after {left}")
+        raise DataError(f"{name}: expected {want} bytes, the file ends after {left}")
     out = np.empty(want // 8, dtype="<f8")
     f.readinto(memoryview(out).cast("B"))
     if f.read(1) != b"\n":
-        raise DataError(f"no line end after the {want} bytes")
+        raise DataError(f"{name}: no line end after the {want} bytes")
     return out.reshape(shape, order="F").astype(np.float64, copy=False)
 
 
@@ -561,10 +554,10 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
     """Read a :func:`save_model` checkpoint.
 
     Read a line at a time: the 4 header lines and the ``ttmat`` core block are
-    UTF-8 text.  Each dense entry's name is read, then its bytes straight into
-    its array.  An entry of an unknown name, or a line without one, is an
-    error.  A v1 or v2 checkpoint, a malformed file or a non-finite parameter
-    value raises DataError.
+    UTF-8 text.  The dense entries follow in :func:`dense_shapes` order, each
+    line exactly as :func:`save_model` writes it, and their bytes go straight
+    into their arrays.  Anything else, a v1 or v2 checkpoint, a malformed file
+    or a non-finite parameter value raises DataError.
     """
     with reading(path, "rb") as f:
         # no more than the magic line's bytes are read, or quoted, whatever the file holds
@@ -586,24 +579,11 @@ def load_model(path) -> tuple[TTRNNModel, dict]:
         weights = parse_tt_matrix(block.decode("utf-8"))
         if weights.out_dims != hidden_dims:
             raise DataError(f"hidden_dims {hidden_dims} != core out dims {weights.out_dims}")
-        shapes = dense_shapes(weights.n_out)
         params = _named_cores(weights.cores)
-        name_bytes = max(map(len, shapes)) + 1  # the longest name and its space
-        while start := f.readline(name_bytes):
-            cut = start.find(b" ")
-            name = start[:cut].decode("utf-8", "replace") if cut >= 0 else ""
-            if name not in shapes:
-                raise DataError(f"unknown entry {name!r}")
-            if name in params:
-                raise DataError(f"{name} line appears twice")
-            f.seek(cut + 1 - len(start), 1)  # back to the byte count after the name
-            try:
-                params[name] = _read_raw_values(f, shapes[name])
-            except DataError as exc:
-                raise DataError(f"{name}: {exc}") from None
-        missing = [name for name in shapes if name not in params]
-        if missing:
-            raise DataError(f"checkpoint has no {', '.join(missing)} line")
+        for name, shape in dense_shapes(weights.n_out).items():
+            params[name] = _read_entry(f, name, shape)
+        if f.read(1):
+            raise DataError(f"unexpected data after the {name} entry")
         model = TTRNNModel.from_params(params)
         for name, values in model.named_params():
             # min and max are NaN or infinite if any value is, and need no mask the size of values

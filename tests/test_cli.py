@@ -27,6 +27,10 @@ FAST = [
 ]
 
 
+# 200 KB of outside input: far longer than an error line may quote
+LONG = "x" * 200_000
+
+
 def write_zero_checkpoint(path, save=save_model):
     """``save``'s checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
     in_dims, hidden = (2, 2, 5, 6, 4), (2, 2, 2, 2, 2)
@@ -343,6 +347,14 @@ class TestExitCodes:
         assert main(["synth", "--out-dir", str(tmp_path), "--synth-days", "2000000"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_out_of_memory_without_a_message(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(features, "synth_panel", no_memory)
+        assert main(["synth", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: out of memory\n"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["report-cores", "--log", str(tmp_path / "missing.csv")])
         assert code == 1
@@ -557,6 +569,37 @@ class TestBadInputExitCodes:
         assert err == f"data error: {ckpt}: not a model checkpoint: {'a' * 15!r}\n", err
         assert len(err.encode()) < 200, len(err)
 
+    @pytest.mark.parametrize(
+        "name, text, code, what",
+        [
+            ("run.cfg", LONG + "\n", 2, "expected key = value"),
+            ("run.cfg", LONG + " = 1\n", 2, "unknown config key"),
+            ("run.cfg", 2 * (LONG + " = 1\n"), 2, "duplicate key"),
+            ("run.cfg", "learning_rate = " + LONG + "\n", 2, "bad value for 'learning_rate'"),
+            ("tensor.txt", f"tensor dims=2 {LONG}=1\n1 2\n", 3, "unexpected header key"),
+            ("tensor.txt", f"tensor dims=2 {LONG}\n1 2\n", 3, "malformed header field"),
+            ("tensor.txt", f"tensor dims=2\n1 {LONG}\n", 3, "bad number"),
+            ("manifest.csv", f"symbol,asset_class,class_slot,path\n{LONG[:100_000]},x,1,a\n", 3,
+             "bad manifest row"),
+        ],
+        ids=["config-line-without-equals", "config-unknown-key", "config-duplicate-key",
+             "config-non-float", "tensor-unexpected-header-key", "tensor-malformed-header-field",
+             "tensor-bad-number", "manifest-symbol"],
+    )
+    def test_error_line_is_cut(self, tmp_path, capsys, name, text, code, what):
+        path = tmp_path / name
+        path.write_text(text)
+        out = str(tmp_path / "out")
+        argv = {
+            "run.cfg": ["train", "--config", str(path), "--out-dir", out],
+            "tensor.txt": ["decompose", "--input", str(path), "--out", out],
+            "manifest.csv": ["train", "--data-manifest", str(path), "--out-dir", out] + FAST,
+        }[name]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 1100, len(err)
+        assert f": {what}" in err[:200] and err.endswith("...\n"), err[:200]
+
     def test_core_block_header_with_stray_key(self, tmp_path, capsys):
         ckpt = tmp_path / "model.txt"
         write_zero_checkpoint(ckpt)
@@ -598,16 +641,16 @@ class TestBadInputExitCodes:
         "damage, message",
         [
             (lambda blob, at: blob.replace(b"\nfeedback 8192\n", b"\nfeedback 8184\n"),
-             "feedback: expected 8192 bytes (1024 float64 values), got 8184"),
+             "expected the entry line 'feedback 8192', got 'feedback 8184'"),
             (lambda blob, at: blob.replace(b"\nfeedback 8192\n", b"\nfeedback 8l92\n"),
-             "feedback: expected a byte count, got '8l92'"),
+             "expected the entry line 'feedback 8192', got 'feedback 8l92'"),
             (lambda blob, at: blob[: at + 4096],
              "feedback: expected 8192 bytes, the file ends after 4096"),
             (lambda blob, at: blob[: at + 8192] + b"x" + blob[at + 8193 :],
              "feedback: no line end after the 8192 bytes"),
             (lambda blob, at: blob[: at + 8192], "feedback: no line end after the 8192 bytes"),
             (lambda blob, at: blob + blob[at - len("feedback 8192\n") : at + 8193],
-             "feedback line appears twice"),
+             "unexpected data after the head_bias entry"),
         ],
         ids=["wrong-byte-count", "non-numeric-byte-count", "cut-inside-the-bytes", "no-line-end",
              "cut-after-the-bytes", "repeated-entry"],
@@ -623,10 +666,10 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: {message}\n", err
 
-    @pytest.mark.parametrize("entry, name", [(b"extra 8\n", "extra"), (b"\n", "")],
+    @pytest.mark.parametrize("entry, got", [(b"extra 8\n", "extra 8"), (b"\n", "")],
                              ids=["unknown-name", "blank-line"])
     @pytest.mark.parametrize("save", [save_model], ids=["v3"])
-    def test_unknown_entry_in_every_version(self, tmp_path, capsys, save, entry, name):
+    def test_unknown_entry_in_every_version(self, tmp_path, capsys, save, entry, got):
         ckpt = tmp_path / "model.txt"
         write_zero_checkpoint(ckpt, save)
         blob = ckpt.read_bytes()
@@ -635,7 +678,21 @@ class TestBadInputExitCodes:
         code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
         assert code == 3
         err = capsys.readouterr().err
-        assert err == f"data error: {ckpt}: unknown entry {name!r}\n", err
+        assert err == (f"data error: {ckpt}: expected the entry line 'feedback 8192', "
+                       f"got {got!r}\n"), err
+
+    def test_dense_entries_in_write_order(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.txt"
+        write_zero_checkpoint(ckpt)
+        blob = ckpt.read_bytes()
+        at = blob.index(b"\nhead_weights 768\n") + 1
+        cut = blob.index(b"\nhead_bias 24\n") + 1
+        ckpt.write_bytes(blob[:at] + blob[cut:] + blob[at:cut])  # head_bias before head_weights
+        code = main(["backtest", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path)] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {ckpt}: expected the entry line 'head_weights 768', "
+                       "got 'head_bias 24'\n"), err
 
     @pytest.mark.parametrize(
         "field, nbytes, value",
@@ -661,13 +718,14 @@ class TestBadInputExitCodes:
         ids=["v3"],
     )
     def test_unallocatable_hidden_size(self, tmp_path, capsys, monkeypatch, version, feedback):
-        # hidden 2^20: its feedback matrix would be 8 TiB.  Dense entries load in
-        # any order, so the feedback entry comes first and no 8 MB bias is needed.
+        # hidden 2^20: its feedback matrix would be 8 TiB.  The 8 MB zero bias
+        # entry comes first, as save_model writes it, then the feedback entry.
         n = 1 << 20
         ckpt = tmp_path / "model.txt"
         ckpt.write_bytes(b"\n".join([
             b"ttrnn-model " + version.encode("ascii"), b"seed 0", b"epoch 0", b"hidden_dims %d" % n,
-            b"ttmat in=1 out=%d ranks=1,1" % n, b"0 " * (n - 1) + b"0", feedback,
+            b"ttmat in=1 out=%d ranks=1,1" % n, b"0 " * (n - 1) + b"0",
+            b"bias %d" % (8 * n), bytes(8 * n) + b"\n" + feedback,
         ]))
         empty = np.empty
 
