@@ -99,8 +99,8 @@ class TTLinearLayer:
         """Memo of :func:`_project`: ``id(x) -> (x, W x + bias)`` for each input seen.
 
         An entry holds its input, so no other tensor can take that id while
-        the entry exists.  A layer lives for one SGD step or one loaded
-        model; the memo costs ``8 * M`` bytes per distinct input.
+        the entry exists.  In training a layer lives through one step's
+        forward; the memo costs ``8 * M`` bytes per distinct input.
         """
         return {}
 
@@ -367,22 +367,34 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
 
 
 def sgd_step(model: TTRNNModel, grads: dict, lr: float) -> TTRNNModel:
-    """Plain gradient descent update; returns a new model.
+    """Plain gradient descent update; returns a new model built on the gradient arrays.
 
-    Each new parameter is ``p - lr * g`` in one fresh array; neither the
-    model nor ``grads`` is written.  Gradient names and shapes must equal the
-    parameters', or ShapeMismatch is raised.
+    ``sgd_step`` takes ownership of ``grads``: each gradient ``g`` is
+    overwritten with its new parameter, ``p - lr * g`` rounded as that
+    expression rounds it, and becomes that parameter of the returned model.
+    The model is never written.  Gradients must be keyed and shaped like the
+    parameters, and each must be a writable float64 ndarray that shares no
+    memory with a parameter or another gradient; otherwise ShapeMismatch is
+    raised before anything is written.
     """
     params = dict(model.named_params())
     if grads.keys() != params.keys():
         names = ", ".join(sorted(params.keys() ^ grads.keys()))
         raise ShapeMismatch(f"gradient and parameter names differ at {names}")
+    seen = list(params.values())
     for name, p in params.items():
-        if np.shape(grads[name]) != p.shape:
-            raise ShapeMismatch(f"{name}: gradient shape {np.shape(grads[name])} != {p.shape}")
+        g = grads[name]
+        if np.shape(g) != p.shape:
+            raise ShapeMismatch(f"{name}: gradient shape {np.shape(g)} != {p.shape}")
+        if not isinstance(g, np.ndarray) or g.dtype != np.float64 or not g.flags.writeable:
+            raise ShapeMismatch(f"{name}: gradient must be a writable float64 ndarray")
+        if any(np.may_share_memory(g, a) for a in seen):
+            raise ShapeMismatch(f"{name}: gradient shares memory with a parameter or gradient")
+        seen.append(g)
     for name, p in params.items():
-        new = np.multiply(lr, grads[name])
-        params[name] = np.subtract(p, new, out=new)
+        g = grads[name]
+        np.multiply(lr, g, out=g)
+        params[name] = np.subtract(p, g, out=g)
     return TTRNNModel.from_params(params)
 
 
@@ -436,7 +448,10 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
     consecutive snapshots is summarized in the returned log.  A batch whose
     mean loss is not finite, or a last step that leaves a parameter or the
     dense input map not finite, stops training with :class:`ConfigError`:
-    the learning rate is too large.
+    the learning rate is too large.  Each step forwards a layer of its own,
+    so its dense map and projected days live only through that forward and
+    the caller's model is never forwarded; :func:`sgd_step` then writes the
+    new parameters into the step's gradient arrays.
     """
     config.validate()
     if not dataset:
@@ -450,7 +465,11 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
         total = 0.0
         for start in range(0, n, config.batch_size):
             batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            mean_loss, cache = forward_batch(model, batch)
+            # the forward runs on a layer of its own, so the step's dense map and projected
+            # days are freed when it returns, before backward allocates anything
+            mean_loss, cache = forward_batch(
+                TTRNNModel.from_params(dict(model.named_params())), batch
+            )
             if not math.isfinite(mean_loss):
                 raise ConfigError(
                     f"training diverged in epoch {epoch}: batch loss {mean_loss} "

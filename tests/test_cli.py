@@ -31,8 +31,8 @@ FAST = [
 LONG = "x" * 200_000
 
 
-def write_zero_checkpoint(path, save=save_model):
-    """``save``'s checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
+def write_zero_checkpoint(path):
+    """The checkpoint of an all-zero model sized for FAST's hidden dims and ranks."""
     in_dims, hidden = (2, 2, 5, 6, 4), (2, 2, 2, 2, 2)
     ranks = (1, 2, 2, 2, 2, 1)
     cores = [
@@ -46,7 +46,7 @@ def write_zero_checkpoint(path, save=save_model):
         head_weights=np.zeros((3, 32)),
         head_bias=np.zeros(3),
     )
-    save(TTRNNModel.from_params(params), path)
+    save_model(TTRNNModel.from_params(params), path)
 
 
 def assert_one_line_error(capsys, kind):
@@ -668,10 +668,9 @@ class TestBadInputExitCodes:
 
     @pytest.mark.parametrize("entry, got", [(b"extra 8\n", "extra 8"), (b"\n", "")],
                              ids=["unknown-name", "blank-line"])
-    @pytest.mark.parametrize("save", [save_model], ids=["v3"])
-    def test_unknown_entry_in_every_version(self, tmp_path, capsys, save, entry, got):
+    def test_wrong_entry_line(self, tmp_path, capsys, entry, got):
         ckpt = tmp_path / "model.txt"
-        write_zero_checkpoint(ckpt, save)
+        write_zero_checkpoint(ckpt)
         blob = ckpt.read_bytes()
         at = blob.index(b"\nfeedback ") + 1  # between the bias and feedback entries
         ckpt.write_bytes(blob[:at] + entry + blob[at:])
@@ -710,22 +709,15 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: {ckpt}: {field} has non-finite values\n", err
 
-    @pytest.mark.parametrize(
-        "version, feedback",
-        [
-            ("v3", b"feedback %d\n%s\n" % (8 << 40, bytes(16))),
-        ],
-        ids=["v3"],
-    )
-    def test_unallocatable_hidden_size(self, tmp_path, capsys, monkeypatch, version, feedback):
+    def test_unallocatable_hidden_size(self, tmp_path, capsys, monkeypatch):
         # hidden 2^20: its feedback matrix would be 8 TiB.  The 8 MB zero bias
         # entry comes first, as save_model writes it, then the feedback entry.
         n = 1 << 20
         ckpt = tmp_path / "model.txt"
         ckpt.write_bytes(b"\n".join([
-            b"ttrnn-model " + version.encode("ascii"), b"seed 0", b"epoch 0", b"hidden_dims %d" % n,
+            b"ttrnn-model v3", b"seed 0", b"epoch 0", b"hidden_dims %d" % n,
             b"ttmat in=1 out=%d ranks=1,1" % n, b"0 " * (n - 1) + b"0",
-            b"bias %d" % (8 * n), bytes(8 * n) + b"\n" + feedback,
+            b"bias %d" % (8 * n), bytes(8 * n), b"feedback %d" % (8 << 40), bytes(16) + b"\n",
         ]))
         empty = np.empty
 

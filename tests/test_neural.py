@@ -269,6 +269,23 @@ def step_buffer_bytes(model, batch):
     return len(batch) * model.hidden_size * 8
 
 
+def backward_bound(model, batch):
+    """The most bytes :func:`backward` may allocate at once for ``batch``.
+
+    The pre-activation gradients, plus either the dense map's gradient with
+    its core projection's arrays or the feedback gradient, never both; the
+    slack, three ``(B, M)`` step arrays, holds the last step's ``dh`` and the
+    small gradients.
+    """
+    m, n_in = model.hidden_size, model.input_layer.weights.n_in
+    _, core_temps = traced_peak(mpo_core_grads, model.input_layer.weights, np.zeros((m, n_in)))
+    d_pre = len(batch[0][0]) * step_buffer_bytes(model, batch)
+    d_input_map = 8 * m * n_in
+    feedback = 8 * m * m
+    assert d_input_map + core_temps < feedback  # so the bound has no room for a second one
+    return d_pre + max(d_input_map + core_temps, feedback) + 3 * step_buffer_bytes(model, batch)
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -338,18 +355,9 @@ class TestBackward:
     def test_holds_one_feedback_sized_array(self):
         model, batch = mid_size_step()
         _, cache = forward_batch(model, batch)
-        m, n_in = model.hidden_size, model.input_layer.weights.n_in
-        _, core_temps = traced_peak(mpo_core_grads, model.input_layer.weights, np.zeros((m, n_in)))
         _, peak = traced_peak(backward, model, batch, cache)
-        d_pre = len(batch[0][0]) * step_buffer_bytes(model, batch)
-        d_input_map = 8 * m * n_in
-        feedback = 8 * m * m
-        assert d_input_map + core_temps < feedback  # so the bound has no room for a second one
-        # the pre-activation gradients, plus either the core projection's arrays or the
-        # feedback gradient, never both; the slack, three (B, M) step arrays, holds the
-        # last step's dh and the small gradients
-        bound = d_pre + max(d_input_map + core_temps, feedback) + 3 * step_buffer_bytes(model, batch)
-        assert peak < bound, (peak - bound) / feedback
+        bound = backward_bound(model, batch)
+        assert peak < bound, (peak - bound) / model.feedback.nbytes
 
 
 def draw_model(draw):
@@ -708,6 +716,12 @@ def zero_grads(model):
     return {name: np.zeros_like(p) for name, p in model.named_params()}
 
 
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 class TestSGD:
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(41)
@@ -770,18 +784,41 @@ class TestSGD:
         with pytest.raises(ShapeMismatch, match="differ at core3$"):
             sgd_step(model, grads, 0.1)
 
-    def test_allocates_one_parameter_set(self):
+    def test_steps_in_the_gradient_arrays(self):
         model, batch = mid_size_step()
         grads = backward(model, batch, forward_batch(model, batch)[1])
         before = [p.tobytes() for _, p in model.named_params()]
-        grads_before = {name: g.tobytes() for name, g in grads.items()}
+        copies = {name: g.copy() for name, g in grads.items()}
         stepped, peak = traced_peak(sgd_step, model, grads, 0.01)
-        params = sum(p.nbytes for _, p in model.named_params())
-        assert peak < params + 2**14, (peak - params) / params
+        assert peak < 2**14, peak
         assert [p.tobytes() for _, p in model.named_params()] == before
-        assert {name: g.tobytes() for name, g in grads.items()} == grads_before
+        params = dict(model.named_params())
         for name, p in stepped.named_params():
-            assert p.tobytes() == (dict(model.named_params())[name] - 0.01 * grads[name]).tobytes()
+            assert np.shares_memory(p, grads[name]), name
+            assert p.tobytes() == (params[name] - 0.01 * copies[name]).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "name, give",
+        [
+            ("feedback", lambda model, grads: model.feedback),
+            ("feedback", lambda model, grads: model.feedback[::-1]),
+            ("core1", lambda model, grads: grads["core0"]),
+            ("head_bias", lambda model, grads: np.arange(3)),
+            ("bias", lambda model, grads: read_only(grads["bias"])),
+        ],
+        ids=["own-parameter", "view-of-a-parameter", "one-array-two-names", "int64", "read-only"],
+    )
+    def test_rejects_gradients_it_cannot_own(self, name, give):
+        model = tiny_model(ranks=(1, 1, 1, 1))  # its three cores share one shape
+        rng = np.random.default_rng(44)
+        grads = {n: rng.normal(size=p.shape) for n, p in model.named_params()}
+        grads[name] = give(model, grads)
+        before = [p.tobytes() for _, p in model.named_params()]
+        grads_before = {n: g.tobytes() for n, g in grads.items()}
+        with pytest.raises(ShapeMismatch, match=f"^{name}: gradient "):
+            sgd_step(model, grads, 0.1)
+        assert [p.tobytes() for _, p in model.named_params()] == before
+        assert {n: g.tobytes() for n, g in grads.items()} == grads_before
 
 
 class TestFromParams:
@@ -843,19 +880,33 @@ class TestTrain:
 
     def test_second_step_holds_nothing_from_the_first(self):
         model, batch = mid_size_step()
-        forward_batch(model, batch)  # the first model's dense map and memo, built before tracing
         peaks = []
         for epochs in (1, 2):  # one full batch per epoch: one SGD step, then two
             cfg = TrainConfig(learning_rate=0.01, epochs=epochs, batch_size=len(batch), seed=1)
             peaks.append(traced_peak(train, model, batch, cfg)[1])
-        # step 2 runs on step 1's model while the caller still holds the first: it adds
-        # that model's parameters, dense map and projected days, and no step 1 array
+        # step 2 runs on step 1's model, whose parameters are step 1's gradient arrays: it
+        # adds those parameters and no other step 1 array
         params = sum(p.nbytes for _, p in model.named_params())
-        dense_map = model.input_layer.matrix.nbytes
-        days = len({id(x) for xs, _ in batch for x in xs}) * model.hidden_size * 8
-        second_model = params + dense_map + days
-        margin = peaks[1] - peaks[0] - second_model
+        margin = peaks[1] - peaks[0] - params
         assert margin < 2 * step_buffer_bytes(model, batch), margin / params
+
+    def test_two_steps_hold_one_parameter_set_beside_a_step(self):
+        model, batch = mid_size_step()
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=len(batch), seed=1)
+        _, peak = traced_peak(train, model, batch, cfg)
+        # step 1's parameters, step 2's batch cache and its backward; no dense map or
+        # projected days outlive the forward, and sgd_step allocates no parameter set
+        params = sum(p.nbytes for _, p in model.named_params())
+        _, (hidden, probs) = forward_batch(model, batch)
+        bound = params + hidden.nbytes + probs.nbytes + backward_bound(model, batch)
+        assert peak < bound, (peak - bound) / params
+
+    def test_train_leaves_the_callers_layer_empty(self):
+        model, batch = mid_size_step()
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=len(batch), seed=1)
+        train(model, batch, cfg)
+        assert model.input_layer.projected == {}
+        assert "matrix" not in vars(model.input_layer)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
