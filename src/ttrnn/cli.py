@@ -270,6 +270,8 @@ _MESSAGE_CHARS = 1000
 
 
 def _report(kind: str, message: str, code: int) -> int:
+    # a path or argument may hold a line break; escaped, the error stays one line
+    message = message.replace("\r", "\\r").replace("\n", "\\n")
     if len(message) > _MESSAGE_CHARS:
         message = message[:_MESSAGE_CHARS] + "..."
     print(f"{kind}: {message}", file=sys.stderr)

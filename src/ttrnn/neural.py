@@ -512,23 +512,6 @@ def evaluate(model: TTRNNModel, dataset):
 # line, its little-endian float64 bytes, fastest-first, and one ``\n``.
 
 
-# the most bytes written at once, unless one column is more
-_RAW_BLOCK = 1 << 16
-
-
-def _column_blocks(arr: np.ndarray):
-    """Yield ``arr``'s little-endian float64 bytes, fastest-first, in blocks of whole columns.
-
-    The blocks join into ``arr.tobytes(order="F")``, but no copy of the whole
-    array is made.
-    """
-    a = np.asarray(arr, dtype="<f8")
-    columns = a.reshape(len(a), -1, order="F")
-    step = max(1, _RAW_BLOCK // columns[:, :1].nbytes)
-    for j in range(0, columns.shape[1], step):
-        yield columns[:, j : j + step].tobytes(order="F")
-
-
 def _read_entry(f, name, shape) -> np.ndarray:
     """Read the dense entry ``name``: its ``name <nbytes>`` line, the bytes and one ``\n``.
 
@@ -565,7 +548,7 @@ def save_model(model: TTRNNModel, path, seed: int = 0, epoch: int = 0):
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
         for name in dense_shapes(model.hidden_size):
             f.write(f"{name} {8 * params[name].size}\n".encode("ascii"))
-            f.writelines(_column_blocks(params[name]))
+            f.write(np.asarray(params[name], dtype="<f8").tobytes(order="F"))
             f.write(b"\n")
 
 

@@ -383,10 +383,12 @@ class TestBadInputExitCodes:
             (["report-cores", "--log=--"], "argument --log: expected one argument"),
             (["decompose", "--input=--", "--out", "x"], "argument --input: expected one argument"),
             (["synth", "--out-dir=--"], "argument --out-dir: expected one argument"),
+            # a line break in an argument is escaped, so the error stays one line
+            (["train", "--x\ny\rz"], "unrecognized arguments: --x\\ny\\rz\n"),
         ],
         ids=["unknown-flag", "missing-required-flag", "unknown-command", "report-cores-manifest",
              "train-seed-dashes", "backtest-checkpoint-dashes", "report-cores-log-dashes",
-             "decompose-input-dashes", "synth-out-dir-dashes"],
+             "decompose-input-dashes", "synth-out-dir-dashes", "line-break-in-flag"],
     )
     def test_bad_command_line(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -447,6 +449,13 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: {log}: not UTF-8 text\n", err
         assert not (tmp_path / "core_ranking.json").exists()
+
+    def test_line_break_in_a_file_name_stays_on_the_error_line(self, tmp_path, capsys):
+        log = tmp_path / "a\nb.csv"
+        log.write_bytes(b"core,epoch,normalized_change\n1,2,0.5\xff\n")
+        assert main(["report-cores", "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path}/a\\nb.csv: not UTF-8 text\n", err
 
     @pytest.mark.parametrize(
         "hidden_dims, message",

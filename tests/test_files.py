@@ -1,6 +1,7 @@
 """Run files: artifacts written whole or not at all, and CSVs read from outside."""
 
 import ast
+import contextlib
 import json
 import os
 import subprocess
@@ -40,14 +41,23 @@ class TestAtomicWrites:
         neural.save_model(small_model(1), ckpt)
         old = ckpt.read_bytes()
         model = small_model(2)
-        blocks = neural._column_blocks
+        feedback = np.asarray(model.feedback, dtype="<f8").tobytes(order="F")
+        replacing = neural.replacing
 
-        def fail_on_feedback(values):
-            yield from blocks(values)
-            if values is model.feedback:  # its bytes are written, its line end is not
-                raise RuntimeError("disk full")
+        @contextlib.contextmanager
+        def failing_after_feedback(path, mode):
+            with replacing(path, mode) as f:
+                write = f.write
 
-        monkeypatch.setattr(neural, "_column_blocks", fail_on_feedback)
+                def fail_on_feedback(data):
+                    write(data)
+                    if data == feedback:  # its bytes are written, its line end is not
+                        raise RuntimeError("disk full")
+
+                f.write = fail_on_feedback
+                yield f
+
+        monkeypatch.setattr(neural, "replacing", failing_after_feedback)
         with pytest.raises(RuntimeError, match="disk full"):
             neural.save_model(model, ckpt)
         assert ckpt.read_bytes() == old
@@ -272,3 +282,23 @@ def test_run_files_are_handled_only_in_files():
                 assert node.attr not in text_readers, where
             if isinstance(node, ast.Name):
                 assert node.id not in ("UnicodeDecodeError", "open", *text_readers), where
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every absolute import in the package names numpy or a standard-library module."""
+    package = Path(ttrnn.__file__).parent
+    imported = {}
+    for source in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported[name.partition(".")[0]] = (source.name, node.lineno)
+    assert "numpy" in imported
+    outside = {top: where for top, where in imported.items()
+               if top != "numpy" and top not in sys.stdlib_module_names}
+    assert not outside, outside
