@@ -331,16 +331,21 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
     ``(T, B, M)`` gradients give the dense input map's gradient (one matrix
     product with the inputs), which is projected onto the cores, the bias
     (their sum) and the feedback gradient (one matrix product with the states
-    h_1 .. h_{T-1}; h_0 = 0 adds nothing).  The input stack and the core
-    projection's temporaries are freed before the M x M feedback gradient is
-    made, and every gradient is scaled in place.
+    h_1 .. h_{T-1}; h_0 = 0 adds nothing).  The input stack, the dense map's
+    gradient (freed once refolded) and the core projection's temporaries are
+    gone before the M x M feedback gradient is made, and every gradient is
+    scaled in place.  A cache not shaped ``(T + 1, B, M)`` and ``(B, 3)`` for
+    this batch and model raises CacheMismatch.
     """
     hidden, probs = cache
     n_steps = _window_length([xs for xs, _ in batch])
     n = len(batch)
-    if hidden.shape[:2] != (n_steps + 1, n):
-        raise CacheMismatch(f"cache shaped {hidden.shape} for {n} windows of {n_steps} steps")
     m = model.hidden_size
+    want = (n_steps + 1, n, m), (n, N_CLASSES)
+    if (hidden.shape, probs.shape) != want:
+        raise CacheMismatch(
+            f"cache shaped {hidden.shape} and {probs.shape}, expected {want[0]} and {want[1]}"
+        )
     d_logits = probs.copy()
     d_logits[np.arange(n), [class_index(label) for _, label in batch]] -= 1.0
     d_pre = np.empty((n_steps, n, m))
@@ -350,11 +355,11 @@ def backward(model: TTRNNModel, batch, cache) -> dict:
         if t:  # h_0 = 0: step 0 passes nothing further back
             dh = d_pre[t] @ model.feedback
     # (T * B, prod(in_dims)) fastest-first inputs, time-major as _forward_windows projects them
-    x = np.stack([xs[t].data for t in range(n_steps) for xs, _ in batch])
-    d_input_map = d_pre.reshape(-1, m).T @ x
-    del x
-    grads = _named_cores(mpo_core_grads(model.input_layer.weights, d_input_map))
-    del d_input_map
+    rows = [xs[t].data for t in range(n_steps) for xs, _ in batch]
+    # the dense map's gradient goes in unnamed, so mpo_core_grads frees it once refolded
+    grads = _named_cores(
+        mpo_core_grads(model.input_layer.weights, d_pre.reshape(-1, m).T @ np.stack(rows))
+    )
     grads.update(
         feedback=d_pre[1:].reshape(-1, m).T @ hidden[1:-1].reshape(-1, m),
         bias=d_pre.reshape(-1, m).sum(axis=0),

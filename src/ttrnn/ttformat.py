@@ -169,12 +169,17 @@ def mpo_core_grads(w: TTMatrix, dw: np.ndarray) -> list:
     """The adjoint of :func:`mpo_to_matrix`: each core's gradient from W's gradient ``dw``.
 
     ``dw``, an ``(M, P)`` ndarray, is refolded to the chain's modes; core k's gradient
-    contracts it with the chain products of the cores left of k and right of k.
+    contracts it with the chain products of the cores left of k and right of k.  Any
+    other shape raises ShapeError.  The refolded copy replaces ``dw``: a temporary
+    passed in (no other reference to it) is freed before the contractions allocate.
     """
+    if np.shape(dw) != (w.n_out, w.n_in):
+        raise ShapeError(f"dw shaped {np.shape(dw)}, expected {(w.n_out, w.n_in)}")
     cores = w.cores
     axes = _matrix_axes(len(cores))
     sizes = [d for c in cores for d in c.shape[1:3]]
     d = np.ascontiguousarray(dw.reshape([sizes[a] for a in axes]).transpose(np.argsort(axes)))
+    del dw
     lefts = list(_left_chains(cores[:-1], np.ones((1, 1))))
     right = np.ones((1, 1))
     grads = []

@@ -24,6 +24,7 @@ from oracles import (
 from ttrnn import neural
 from ttrnn.config import stream_rng
 from ttrnn.errors import ConfigError, DataError
+from ttrnn.features import TENSOR_DIMS_5
 from ttrnn.neural import (
     CacheMismatch,
     EmptyDataset,
@@ -258,10 +259,20 @@ def mid_size_step(n_windows=16, n_steps=6):
     """
     rng = np.random.default_rng(3)
     model = init_model((2, 2, 4, 4), (4, 4, 4, 4), (1, 4, 4, 4, 1), rng)
+    return model, stride_windows(rng, model, n_windows, n_steps)
+
+
+def stride_windows(rng, model, n_windows, n_steps):
+    """``n_windows`` random labelled windows of ``n_steps`` days, at stride 1 over shared days."""
     days = [rand_input(rng, model.in_dims) for _ in range(n_steps + n_windows - 1)]
     labels = rng.choice([1, 0, -1], size=n_windows)
-    batch = [(days[s : s + n_steps], int(labels[s])) for s in range(n_windows)]
-    return model, batch
+    return [(days[s : s + n_steps], int(labels[s])) for s in range(n_windows)]
+
+
+@pytest.fixture(scope="module")
+def full_size_model():
+    """The paper's default size, built once: inputs TENSOR_DIMS_5, hidden 4^5, ranks 6."""
+    return init_model(TENSOR_DIMS_5, (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(27))
 
 
 def step_buffer_bytes(model, batch):
@@ -272,18 +283,21 @@ def step_buffer_bytes(model, batch):
 def backward_bound(model, batch):
     """The most bytes :func:`backward` may allocate at once for ``batch``.
 
-    The pre-activation gradients, plus either the dense map's gradient with
-    its core projection's arrays or the feedback gradient, never both; the
-    slack, three ``(B, M)`` step arrays, holds the last step's ``dh`` and the
-    small gradients.
+    The pre-activation gradients plus one feedback-sized array; the slack,
+    three ``(B, M)`` step arrays, holds the last step's ``dh`` and the small
+    gradients.  The core stage fits in the feedback-sized array: the dense
+    map's gradient is freed once refolded, so that stage holds the gradient
+    beside its refold, or the refold beside the projection's temporaries,
+    never all three (at full size all three exceed the feedback array).
     """
     m, n_in = model.hidden_size, model.input_layer.weights.n_in
+    # the refold and the projection's temporaries, without the gradient passed in
     _, core_temps = traced_peak(mpo_core_grads, model.input_layer.weights, np.zeros((m, n_in)))
     d_pre = len(batch[0][0]) * step_buffer_bytes(model, batch)
     d_input_map = 8 * m * n_in
     feedback = 8 * m * m
-    assert d_input_map + core_temps < feedback  # so the bound has no room for a second one
-    return d_pre + max(d_input_map + core_temps, feedback) + 3 * step_buffer_bytes(model, batch)
+    assert max(2 * d_input_map, core_temps) < feedback  # so the bound has no room for a second one
+    return d_pre + feedback + 3 * step_buffer_bytes(model, batch)
 
 
 class TestBackward:
@@ -351,9 +365,25 @@ class TestBackward:
         _, cache = forward_batch(model, batch[:1])
         with pytest.raises(CacheMismatch):
             backward(model, batch, cache)
+        # a model of another hidden size, and probabilities two columns wide
+        other = init_model(model.in_dims, (2, 2, 3), (1, 2, 2, 1), np.random.default_rng(38))
+        hidden, probs = forward_batch(model, batch)[1]
+        for cache in (forward_batch(other, batch)[1], (hidden, probs[:, :2])):
+            with pytest.raises(CacheMismatch, match="expected"):
+                backward(model, batch, cache)
 
     def test_holds_one_feedback_sized_array(self):
         model, batch = mid_size_step()
+        _, cache = forward_batch(model, batch)
+        _, peak = traced_peak(backward, model, batch, cache)
+        bound = backward_bound(model, batch)
+        assert peak < bound, (peak - bound) / model.feedback.nbytes
+
+    def test_holds_one_feedback_sized_array_at_full_size(self, full_size_model):
+        # the dense map's gradient (1024 x 480), its refold and the projection's
+        # temporaries together exceed the 8 MiB feedback gradient
+        model = full_size_model
+        batch = stride_windows(np.random.default_rng(39), model, n_windows=8, n_steps=3)
         _, cache = forward_batch(model, batch)
         _, peak = traced_peak(backward, model, batch, cache)
         bound = backward_bound(model, batch)
@@ -956,10 +986,8 @@ class TestInitModel:
         pooled_std = float(np.std(values))
         assert 0.1 <= pooled_std <= 10.0
 
-    def test_param_count_matches_formula(self):
-        model = init_model((2, 2, 5, 6, 4), (4, 4, 4, 4, 4), (1, 6, 6, 6, 6, 1),
-                           np.random.default_rng(0))
-        assert model.input_layer.weights.n_params == tt_param_count(
+    def test_param_count_matches_formula(self, full_size_model):
+        assert full_size_model.input_layer.weights.n_params == tt_param_count(
             (2, 2, 5, 6, 4), (4, 4, 4, 4, 4), (1, 6, 6, 6, 6, 1)
         ) == 2016
 
@@ -1054,9 +1082,9 @@ class TestCheckpoint:
         # the arrays alone; one more copy of the feedback matrix's bytes would be 1.9x
         assert peak < 1.05 * dense, peak / dense
 
-    def test_v3_layout_at_full_size(self, tmp_path):
+    def test_v3_layout_at_full_size(self, tmp_path, full_size_model):
         # the paper's full size: the 1024 x 1024 feedback matrix is 8 MiB
-        model = init_model((2, 2, 5, 6, 4), (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(27))
+        model = full_size_model
         path = tmp_path / "model.txt"
         save_model(model, path)
         params = dict(model.named_params())
@@ -1067,9 +1095,9 @@ class TestCheckpoint:
             entries += f"{name} {len(raw)}\n".encode("ascii") + raw + b"\n"
         assert path.read_bytes().endswith(entries)
 
-    def test_resave_of_a_loaded_checkpoint_is_byte_identical(self, tmp_path):
+    def test_resave_of_a_loaded_checkpoint_is_byte_identical(self, tmp_path, full_size_model):
         # load_model returns F-ordered dense arrays, train C-ordered ones; both save alike
-        model = init_model((2, 2, 5, 6, 4), (4,) * 5, (1, 6, 6, 6, 6, 1), np.random.default_rng(28))
+        model = full_size_model
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
         save_model(model, first, seed=3, epoch=7)
         loaded, meta = load_model(first)

@@ -171,6 +171,15 @@ class TestMPO:
         # ones((1, 1)) seed, or a right chain past core 0, would be a second dW
         assert peak < 2 * dw.nbytes, peak / dw.nbytes
 
+    def test_core_grads_reject_a_misshapen_dw(self):
+        # W is (20, 6); a transposed or flat dw has the right element count
+        rng = np.random.default_rng(14)
+        w = TTMatrix([rng.normal(size=(1, 2, 4, 2)), rng.normal(size=(2, 3, 5, 1))])
+        dw = rng.normal(size=(w.n_out, w.n_in))
+        for bad in (dw.T, dw.ravel(), dw[:, :5]):
+            with pytest.raises(ShapeError, match=re.escape(f"{bad.shape}, expected (20, 6)")):
+                mpo_core_grads(w, bad)
+
     def test_param_count_matches_stored_cores(self):
         rng = np.random.default_rng(12)
         cores = [
