@@ -147,7 +147,11 @@ def cmd_backtest(args) -> int:
                 f"{key} {given} disagrees with the checkpoint's {stored} ({args.checkpoint})"
             )
     _, test_samples = fp.samples(cfg.seq_len)
-    _loss, probs, _predicted = neural.evaluate(model, [s.pair for s in test_samples])
+    # cores that are finite can still overflow the dense map: caught here, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _loss, probs, _predicted = neural.evaluate(model, [s.pair for s in test_samples])
+    if not np.isfinite(probs).all():
+        raise DataError(f"{args.checkpoint}: its model gives probabilities that are not finite")
     labels = [s.label for s in test_samples]
     next_returns = np.array([fp.target_next_return[s.end_index] for s in test_samples])
     dates = [s.date for s in test_samples]

@@ -613,18 +613,15 @@ def read_panel(entries) -> AssetPanel:
     per_instrument = []
     common = None
     iso_dates = set()  # each distinct date string is checked once
-    last = None  # the previous file's dates: a file that repeats them changes no date set
     for _, path in entries:
         with reading(path) as f:
-            dates, values = _read_instrument(f, iso_dates, last)
-            if dates != last:
-                own = set(dates)
-                iso_dates |= own
-                common = own if common is None else common & own
-                if not common:
-                    raise MisalignedDates("instrument files share no common dates")
+            dates, values = _read_instrument(f, iso_dates)
+            own = set(dates)
+            iso_dates |= own
+            common = own if common is None else common & own
+            if not common:
+                raise MisalignedDates("instrument files share no common dates")
         per_instrument.append((dates, values))
-        last = dates
     dates = sorted(common)
 
     table = np.empty((len(PANEL_SERIES), len(entries), len(dates)))
@@ -641,39 +638,24 @@ def read_panel(entries) -> AssetPanel:
     )
 
 
-def _read_instrument(f, iso_dates, last):
-    """The dates and (5, days) values of an open instrument CSV, checked as :func:`_clean`.
+def _read_instrument(f, iso_dates):
+    """The dates and (5, days) values of an open instrument CSV.
 
-    numpy's reader (:func:`csv_table`) reads a file it can vouch for.  Any other file, and
-    one it reads unclean, is read again by the csv module, which names the first bad row.
+    numpy's reader (:func:`csv_table`) reads a file it can vouch for, kept if its values are
+    finite and its dates distinct YYYY-MM-DD dates (a string in ``iso_dates`` is one).  Any
+    other file is read again by the csv module and checked row by row, so its error names the
+    first bad row.
     """
     table = csv_table(f, PANEL_HEADER)
-    if table is not None and _clean(*table, iso_dates, last):
-        return table
+    if table is not None:
+        dates, values = table
+        own = set(dates)
+        if (len(own) == len(dates) and all(map(_is_iso_date, own - iso_dates))
+                and np.isfinite(values).all()):
+            return table
     f.seek(0)
     _, dates, *columns = csv_columns(f, PANEL_HEADER)
-    try:  # whole columns first; a fault is then found row by row, as it is reported
-        values = np.array([list(map(float, column)) for column in columns])  # (5, days)
-        if _clean(dates, values, iso_dates, last):
-            return dates, values
-    except (TypeError, ValueError):
-        pass
-    _raise_first_bad_row(dates, columns)
-
-
-def _clean(dates, values, iso_dates, last) -> bool:
-    """True if ``values`` are finite and ``dates`` distinct YYYY-MM-DD dates: the already
-    checked ``last``, or dates whose strings not in ``iso_dates`` pass :func:`_is_iso_date`."""
-    if dates != last:
-        own = set(dates)
-        if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
-            return False
-    return bool(np.isfinite(values).all())
-
-
-def _raise_first_bad_row(dates, columns):
-    """Raise the error of the first bad row of an instrument file, checking each row in turn."""
-    seen = set()
+    seen, rows = set(), []
     for date, *cells in zip(dates, *columns):
         if not _is_iso_date(date):
             raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
@@ -681,11 +663,12 @@ def _raise_first_bad_row(dates, columns):
             raise MisalignedDates(f"duplicate date {date}")
         seen.add(date)
         try:
-            row = tuple(map(float, cells))
+            rows.append(tuple(map(float, cells)))
         except (TypeError, ValueError):
             raise DataError(f"non-numeric value on {date}") from None
-        if not all(map(math.isfinite, row)):
+        if not all(map(math.isfinite, rows[-1])):
             raise DataError(f"non-finite value on {date}")
+    return dates, np.array(rows).T  # (5, days)
 
 
 def dump_features_csv(fp: FeaturePanel, path):

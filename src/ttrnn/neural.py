@@ -465,30 +465,31 @@ def train(model: TTRNNModel, dataset, config: TrainConfig) -> tuple[TTRNNModel, 
     n = len(dataset)
     epoch_losses = []
     snapshots = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            # the forward runs on a layer of its own, so the step's dense map and projected
-            # days are freed when it returns, before backward allocates anything
-            mean_loss, cache = forward_batch(
-                TTRNNModel.from_params(dict(model.named_params())), batch
-            )
-            if not math.isfinite(mean_loss):
-                raise ConfigError(
-                    f"training diverged in epoch {epoch}: batch loss {mean_loss} "
-                    f"at learning rate {config.learning_rate}"
-                )
-            total += mean_loss * len(batch)
-            grads = backward(model, batch, cache)
-            del cache
-            model = sgd_step(model, grads, config.learning_rate)
-            del grads  # nothing a step made lives into the next step
-        epoch_losses.append(total / n)
-        snapshots.append([c.copy() for c in model.cores])
-    # no batch loss checks the last step; its map is a temporary, not cached on the layer
+    # an overflow only makes values not finite, which the loss and last-step checks report
     with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = [dataset[i] for i in order[start : start + config.batch_size]]
+                # the forward runs on a layer of its own, so the step's dense map and projected
+                # days are freed when it returns, before backward allocates anything
+                mean_loss, cache = forward_batch(
+                    TTRNNModel.from_params(dict(model.named_params())), batch
+                )
+                if not math.isfinite(mean_loss):
+                    raise ConfigError(
+                        f"training diverged in epoch {epoch}: batch loss {mean_loss} "
+                        f"at learning rate {config.learning_rate}"
+                    )
+                total += mean_loss * len(batch)
+                grads = backward(model, batch, cache)
+                del cache
+                model = sgd_step(model, grads, config.learning_rate)
+                del grads  # nothing a step made lives into the next step
+            epoch_losses.append(total / n)
+            snapshots.append([c.copy() for c in model.cores])
+        # no batch loss checks the last step; its map is a temporary, not cached on the layer
         if not (all(np.isfinite(p).all() for _, p in model.named_params())
                 and np.isfinite(mpo_to_matrix(model.input_layer.weights).data).all()):
             raise ConfigError(

@@ -67,9 +67,7 @@ class DenseTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", check_shape(self.shape))
-        arr = self.data
-        if type(arr) is not np.ndarray or arr.dtype != np.float64:  # keep a native float64 array
-            arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 1:
             if arr.shape != self.shape:
                 raise ElementCountMismatch(

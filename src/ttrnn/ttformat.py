@@ -264,11 +264,6 @@ def tt_param_count(in_dims, out_dims, ranks) -> int:
     )
 
 
-def dense_param_count(in_dims, out_dims) -> int:
-    """Parameter count of the uncompressed matrix: prod(in) * prod(out)."""
-    return element_count(check_shape(in_dims)) * element_count(check_shape(out_dims))
-
-
 # --- text serialization -----------------------------------------------------
 #
 # A block is a ``tag key=a,b ...`` header of positive integer lists, then data

@@ -5,19 +5,20 @@ formulas, separate from the library's vectorized paths, so agreement is
 meaningful.
 """
 
+import datetime
 import itertools
 import math
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ttrnn.errors import DataError
 from ttrnn.features import (
     PANEL_HEADER,
     PANEL_SERIES,
     AssetPanel,
     MisalignedDates,
-    _is_iso_date,
-    _raise_first_bad_row,
 )
 from ttrnn.files import csv_columns, reading
 from ttrnn.neural import (
@@ -327,6 +328,36 @@ def rolling_stats_per_window(values, window: int):
 # --- the panel CSVs through the csv module alone --------------------------------
 
 
+def is_date(text) -> bool:
+    """True for ``YYYY-MM-DD`` in ASCII digits naming a day of the calendar."""
+    if not isinstance(text, str) or not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        return False
+    try:
+        datetime.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+    except ValueError:
+        return False
+    return True
+
+
+def read_rows(dates, columns) -> np.ndarray:
+    """The (5, days) values of an instrument file's cells, or the error of its first bad row."""
+    seen, rows = set(), []
+    for date, *cells in zip(dates, *columns):
+        if not is_date(date):
+            raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
+        if date in seen:
+            raise MisalignedDates(f"duplicate date {date}")
+        seen.add(date)
+        try:
+            row = [float(cell) for cell in cells]
+        except (TypeError, ValueError):
+            raise DataError(f"non-numeric value on {date}") from None
+        if not all(math.isfinite(value) for value in row):
+            raise DataError(f"non-finite value on {date}")
+        rows.append(row)
+    return np.array(rows).T
+
+
 def read_panel_csv(entries):
     """`features.read_panel` with every file read by the csv module and Python's ``float``.
 
@@ -335,20 +366,11 @@ def read_panel_csv(entries):
     """
     per_instrument = []
     common = None
-    iso_dates = set()  # each distinct date string is checked once
     for _, path in entries:
         with reading(path) as f:
             _, dates, *columns = csv_columns(f, PANEL_HEADER)
+            values = read_rows(dates, columns)
             own = set(dates)
-            try:  # whole columns first; a fault is then found row by row, as it is reported
-                if len(own) < len(dates) or not all(map(_is_iso_date, own - iso_dates)):
-                    raise ValueError
-                values = np.array([list(map(float, column)) for column in columns])  # (5, days)
-                if not np.isfinite(values).all():
-                    raise ValueError
-            except (TypeError, ValueError):
-                _raise_first_bad_row(dates, columns)
-            iso_dates |= own
             common = own if common is None else common & own
             if not common:
                 raise MisalignedDates("instrument files share no common dates")

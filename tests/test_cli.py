@@ -992,6 +992,33 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "checkpoint.txt").exists()
 
+    def test_overflowing_step_is_one_error_line(self, tmp_path, capsys):
+        # the second epoch's model overflows its dense map: no numpy warning comes before the error
+        code = main(["train", "--out-dir", str(tmp_path), "--synth-days", "60", "--epochs", "2",
+                     "--hidden-dims", "2,2,2,2,2", "--ranks", "2", "--learning-rate", "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: training diverged in epoch 2: "), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+    def test_overflowing_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        # finite cores whose dense map overflows: the probabilities are not finite
+        out = tmp_path / "run"
+        assert main(["train", "--out-dir", str(out)] + FAST) == 0
+        model, _ = load_model(out / "checkpoint.txt")
+        params = dict(model.named_params())
+        params.update((f"core{k}", core * 1e100) for k, core in enumerate(model.cores))
+        ckpt = tmp_path / "huge.txt"
+        save_model(TTRNNModel.from_params(params), ckpt)
+        capsys.readouterr()
+        code = main(["backtest", "--out-dir", str(out), "--checkpoint", str(ckpt)] + FAST)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: its model gives probabilities that are not finite\n"
+        )
+        assert not (out / "backtest.json").exists()
+
     @pytest.mark.parametrize(
         "text, detail",
         [

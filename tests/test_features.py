@@ -45,6 +45,7 @@ from ttrnn.features import (
     synth_panel,
     write_panel,
 )
+from ttrnn.files import csv_table
 from ttrnn.tensor import DenseTensor, reshape
 
 
@@ -468,6 +469,23 @@ class TestPanelCSV:
         assert [m.symbol for m in back.instruments] == [m.symbol for m in panel.instruments]
         for name in ("close", "high", "low", "volume", "open_interest"):
             assert np.array_equal(getattr(back, name), getattr(panel, name))
+
+    def test_all_quoted_panel_loads_the_same(self, tmp_path):
+        """With every value quoted, numpy's reader refuses each file and the csv module reads
+        it: the panel is the unquoted one, bit for bit."""
+        panel = small_panel(days=100, seed=17)
+        manifest = write_panel(panel, tmp_path)
+        for meta in panel.instruments:
+            path = tmp_path / f"{meta.symbol}.csv"
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *(",".join(f'"{cell}"' for cell in row.split(","))
+                                                  for row in rows)]) + "\n")
+            with open(path, newline="") as f:
+                assert csv_table(f, PANEL_HEADER) is None
+        back = load_panel(manifest)
+        assert back.dates == panel.dates
+        for name in PANEL_SERIES:
+            assert np.array_equal(getattr(back, name), getattr(panel, name)), name
 
     def test_write_is_deterministic(self, tmp_path):
         panel = small_panel(days=40, seed=23)

@@ -302,3 +302,19 @@ def test_numpy_is_the_only_runtime_dependency():
     outside = {top: where for top, where in imported.items()
                if top != "numpy" and top not in sys.stdlib_module_names}
     assert not outside, outside
+
+
+def test_oracles_use_no_private_name_of_the_package():
+    """The oracles import only public names from ttrnn, so no check uses the code it checks."""
+    source = Path(__file__).with_name("oracles.py")
+    private = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ttrnn":
+            names = [*node.module.split("."), *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.split(".")[0] == "ttrnn"
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        private += [(node.lineno, name) for name in names if name.startswith("_")]
+    assert not private, private

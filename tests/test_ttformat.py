@@ -19,7 +19,6 @@ from ttrnn.ttformat import (
     TTMatrix,
     TTVector,
     check_ranks,
-    dense_param_count,
     format_tt_matrix,
     format_tt_vector,
     mpo_core_grads,
@@ -341,13 +340,13 @@ class TestParamCount:
         )
         assert expected == 48 + 288 + 720 + 864 + 96 == 2016
         assert tt_param_count(in_dims, out_dims, ranks) == 2016
-        assert dense_param_count(in_dims, out_dims) == 480 * 1024 == 491520
+        assert math.prod(in_dims) * math.prod(out_dims) == 480 * 1024 == 491520  # dense map
 
     def test_all_ranks_one(self):
         assert tt_param_count((2, 2), (2, 2), (1, 1, 1)) == 8
 
     def test_single_mode_equals_dense(self):
-        assert tt_param_count((7,), (5,), (1, 1)) == 35 == dense_param_count((7,), (5,))
+        assert tt_param_count((7,), (5,), (1, 1)) == 35 == 7 * 5
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
