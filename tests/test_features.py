@@ -470,9 +470,9 @@ class TestPanelCSV:
         for name in ("close", "high", "low", "volume", "open_interest"):
             assert np.array_equal(getattr(back, name), getattr(panel, name))
 
-    def test_all_quoted_panel_loads_the_same(self, tmp_path):
+    def test_all_quoted_panel_loads_the_same(self, tmp_path, monkeypatch):
         """With every value quoted, numpy's reader refuses each file and the csv module reads
-        it: the panel is the unquoted one, bit for bit."""
+        it: the panel is the unquoted one, bit for bit, and each distinct date is checked once."""
         panel = small_panel(days=100, seed=17)
         manifest = write_panel(panel, tmp_path)
         for meta in panel.instruments:
@@ -482,7 +482,15 @@ class TestPanelCSV:
                                                   for row in rows)]) + "\n")
             with open(path, newline="") as f:
                 assert csv_table(f, PANEL_HEADER) is None
+        checked, is_iso_date = [], ttrnn.features._is_iso_date
+
+        def counting(text):
+            checked.append(text)
+            return is_iso_date(text)
+
+        monkeypatch.setattr(ttrnn.features, "_is_iso_date", counting)
         back = load_panel(manifest)
+        assert len(checked) == len(set(checked)), len(checked)
         assert back.dates == panel.dates
         for name in PANEL_SERIES:
             assert np.array_equal(getattr(back, name), getattr(panel, name)), name

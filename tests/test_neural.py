@@ -572,6 +572,17 @@ class TestProjectionMemo:
         assert np.array_equal(tt_linear_forward(layer, x).data, want)
         assert np.array_equal(layer.projected[id(x)][1], want)
 
+    def test_adds_the_bias_in_place_at_full_size(self, full_size_model):
+        # 200 new days: the stacked inputs (N, 480) and one (N, M) result, no second result
+        model = full_size_model
+        layer = TTLinearLayer(model.input_layer.weights, model.input_layer.bias)  # empty memo
+        layer.matrix  # built before tracing
+        rng = np.random.default_rng(131)
+        days = [rand_input(rng, layer.in_dims) for _ in range(200)]
+        _, peak = traced_peak(_project, layer, days)
+        block = 200 * model.hidden_size * 8
+        assert peak < 1.75 * block, peak / block
+
     def test_new_layers_start_empty(self, tmp_path):
         rng = np.random.default_rng(109)
         model = tiny_model()
@@ -686,10 +697,10 @@ class TestEvaluate:
         days = [rand_input(rng) for _ in range(n_steps + n_windows)]
         windows = [days[start : start + n_steps] for start in range(n_windows)]
         hidden, probs = _forward_windows(model, windows)
-        ring, ring_probs = _forward_windows(model, windows, keep_states=False)
-        assert ring.shape == (2, n_windows, model.hidden_size)
-        assert ring_probs.tobytes() == probs.tobytes()
-        assert ring[n_steps % 2].tobytes() == hidden[-1].tobytes()
+        final, final_probs = _forward_windows(model, windows, keep_states=False)
+        assert final.shape == (n_windows, model.hidden_size)
+        assert final_probs.tobytes() == probs.tobytes()
+        assert final.tobytes() == hidden[-1].tobytes()
         _, eval_probs, _ = evaluate(model, [(xs, 1) for xs in windows])
         assert eval_probs.tobytes() == probs.tobytes()
 
@@ -703,8 +714,17 @@ class TestEvaluate:
         buffer = 200 * model.hidden_size * 8
         _, peak = traced_peak(evaluate, model, dataset)
         assert len(model.input_layer.projected) == len(days)
-        # the ring's two buffers and the step lists; all 11 states need 11
+        # the two state buffers and the step lists; all 11 states need 11
         assert peak < 5 * buffer, peak / buffer
+
+    def test_holds_two_state_buffers_at_full_size(self, full_size_model):
+        # a (B, M) buffer is 512 kB; a third, a step's feedback product, would read about 3
+        model = full_size_model
+        dataset = stride_windows(np.random.default_rng(113), model, n_windows=64, n_steps=3)
+        evaluate(model, dataset)  # the dense map and the memo are built before tracing
+        _, peak = traced_peak(evaluate, model, dataset)
+        buffer = step_buffer_bytes(model, dataset)
+        assert peak < 2.5 * buffer, peak / buffer
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
